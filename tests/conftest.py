@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.campaign import CampaignResult
+from repro.core.experiment import Experiment, default_sut_factory
+from repro.core.registry import resolve_sut_factory
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.hw.board import BananaPiBoard, BoardConfig
 from repro.hypervisor.cli import JailhouseCli
@@ -13,6 +16,28 @@ from repro.hypervisor.config import (
 )
 from repro.hypervisor.core import Hypervisor
 from repro.hypervisor.cell import LoadedImage
+
+
+def run_cold_reference(plan, sut_factory=default_sut_factory,
+                       classifier=None) -> CampaignResult:
+    """The per-spec cold reference every parity suite compares against.
+
+    Each spec runs through its own ``Experiment(spec, ...).run()`` in plan
+    order, outside the engine: a fresh system under test per spec, no
+    pooling, no prefix forks, no lockstep, no worker processes. Whatever
+    the engine does to go faster, its records must equal these.
+    """
+    factory = resolve_sut_factory(sut_factory)
+    return CampaignResult(plan_name=plan.name, results=[
+        Experiment(spec, sut_factory=factory, classifier=classifier).run()
+        for spec in plan
+    ])
+
+
+@pytest.fixture
+def cold_reference():
+    """:func:`run_cold_reference`, for test modules that cannot import it."""
+    return run_cold_reference
 
 
 @pytest.fixture
