@@ -16,11 +16,12 @@ from __future__ import annotations
 import os
 import platform
 import sys
+import time
 from pathlib import Path
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core.campaign import Campaign, CampaignResult
-from repro.core.experiment import SutFactory, default_sut_factory
+from repro.core.experiment import Experiment, SutFactory, default_sut_factory
 from repro.core.plan import TestPlan
 from repro.core.recording import ExperimentRecord
 
@@ -80,3 +81,35 @@ def save_and_print(name: str, report: str) -> None:
 
 def records_of(result: CampaignResult) -> Sequence[ExperimentRecord]:
     return result.to_records()
+
+
+def time_against_cold_reference(
+        plan: TestPlan, repeats: int,
+        sut_factory: SutFactory = default_sut_factory,
+) -> Tuple[float, float, CampaignResult]:
+    """Best-of-``repeats`` wall time of the cold reference and of the engine.
+
+    The per-spec cold reference runs every spec through its own
+    ``Experiment.run()`` in plan order, outside the engine: a fresh system
+    under test per spec. The engine runs the same plan at ``jobs=1``, pooling
+    its SUT, forking prefix families and stepping them in lockstep as it
+    sees fit. Returns ``(reference_wall_s, engine_wall_s, engine_result)``
+    and raises when any engine record differs from the reference.
+    """
+    reference_wall = engine_wall = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        reference = [Experiment(spec, sut_factory=sut_factory).run()
+                     for spec in plan]
+        reference_wall = min(reference_wall, time.perf_counter() - start)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        engine = Campaign(plan, sut_factory=sut_factory).run()
+        engine_wall = min(engine_wall, time.perf_counter() - start)
+    expected = CampaignResult(plan_name=plan.name, results=reference)
+    if ([record.to_json() for record in engine.to_records()]
+            != [record.to_json() for record in expected.to_records()]):
+        raise AssertionError(
+            f"engine records of {plan.name!r} diverged from the per-spec "
+            f"cold reference: execution strategy must never change a record")
+    return reference_wall, engine_wall, engine

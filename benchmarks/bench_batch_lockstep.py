@@ -9,18 +9,19 @@ stay byte-identical to scalar execution by construction).
 
 The headline grid is the shape the optimization exists for: rare/late-fire
 triggers (the paper's low-rate campaigns, where most of each one-minute test
-is fault-free waiting), sixteen fault variants per seed. Both sides of the
-comparison run with the prefix cache on at ``jobs=1``, so the reported
-speedup is pure lockstep sharing — not prefix amortisation, not parallelism.
-A second, ungated grid forces every lane to evict mid-batch and reports the
-worst-case (replay-dominated) behaviour.
+is fault-free waiting), sixteen fault variants per seed. The engine runs it
+at ``jobs=1`` against the per-spec cold reference (a fresh SUT, a full
+prefix and a scalar window per spec), so the reported speedup is lockstep
+sharing plus prefix amortisation — not parallelism. A second, ungated grid
+forces every lane to evict mid-batch and reports the worst-case
+(replay-dominated) behaviour.
 
 Reported metrics (written as ``BENCH_batch_lockstep.json`` at the repo root
 so the perf trajectory is versioned alongside the code):
 
-* **lockstep** — wall-clock of the family-grid campaign scalar vs batched,
-  batch occupancy and eviction counts, and the parity verdict (the run
-  aborts if any record differs);
+* **lockstep** — wall-clock of the family-grid campaign, cold reference vs
+  engine, batch occupancy and eviction counts, and the parity verdict (the
+  run aborts if any record differs);
 * **eviction** — the same comparison on a fast-trigger grid where every
   lane evicts: the floor of the optimization, reported for honesty.
 
@@ -28,7 +29,7 @@ A ``calibration_s`` spin-loop is recorded alongside so the CI gate can
 normalise machine speed: ``--check-against BASELINE.json`` fails when the
 calibrated batched-campaign wall time regressed more than
 ``--max-regression`` (default 2.0x), and ``--min-speedup`` (default 5.0)
-fails the run when the batched/scalar ratio drops below it.
+fails the run when the engine/cold-reference ratio drops below it.
 
 Usage::
 
@@ -52,9 +53,10 @@ if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
 from repro.core.config import CampaignConfig, PartRef           # noqa: E402
-from repro.engine import CampaignEngine                         # noqa: E402
+from repro.engine.batch import BATCH_SIZE                       # noqa: E402
 
-from _common import machine_info                                # noqa: E402
+from _common import machine_info, time_against_cold_reference   # noqa: E402
+from bench_hotpath import calibrate                             # noqa: E402
 
 SCHEMA = "bench_batch_lockstep/v1"
 
@@ -71,16 +73,6 @@ _FAULT_MODELS = [
     PartRef("register-class-bit-flip", {"target_class": "lr"}, tag="lr"),
     PartRef("register-class-bit-flip", {"target_class": "gpr"}, tag="gpr"),
 ]
-
-
-def calibrate() -> float:
-    """Fixed pure-Python spin loop used to normalise machine speed."""
-    start = time.perf_counter()
-    total = 0
-    for index in range(2_000_000):
-        total += index & 0xFF
-    assert total > 0
-    return time.perf_counter() - start
 
 
 def lockstep_grid(*, seeds: int, duration: float) -> CampaignConfig:
@@ -122,29 +114,10 @@ def eviction_grid(*, seeds: int, duration: float) -> CampaignConfig:
     )
 
 
-def records_of(result):
-    return [record.to_json() for record in result.to_records()]
-
-
-def bench_grid(config: CampaignConfig, *, repeats: int,
-               batch_size: int = 16) -> dict:
+def bench_grid(config: CampaignConfig, *, repeats: int) -> dict:
     plan = config.compile()
-    scalar_wall = batched_wall = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        scalar_result = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        scalar_wall = min(scalar_wall, time.perf_counter() - start)
-    for _ in range(repeats):
-        start = time.perf_counter()
-        batched_result = CampaignEngine(plan, jobs=1, batch=True,
-                                        batch_size=batch_size).run()
-        batched_wall = min(batched_wall, time.perf_counter() - start)
-    if records_of(scalar_result) != records_of(batched_result):
-        raise AssertionError(
-            f"batched campaign {config.name!r} diverged from scalar "
-            f"execution: the lockstep core must be record-for-record "
-            f"identical"
-        )
+    scalar_wall, batched_wall, batched_result = time_against_cold_reference(
+        plan, repeats)
     stats = batched_result.batch_stats()
     seeds = config.tests
     family_size = len(plan) // seeds
@@ -152,7 +125,7 @@ def bench_grid(config: CampaignConfig, *, repeats: int,
         "experiments": len(plan),
         "families": seeds,
         "family_size": family_size,
-        "batch_size": batch_size,
+        "batch_size": BATCH_SIZE,
         "settle_s": config.settle_time,
         "sim_duration_s": config.duration,
         "jobs": 1,
@@ -247,8 +220,8 @@ def render(report: dict) -> str:
             f"{grid['sim_duration_s']:.1f}s, jobs=1, "
             f"batch_size={grid['batch_size']})",
             f"  scalar : {grid['scalar_wall_s']*1000:8.0f} ms  "
-            f"(prefix cache on)",
-            f"  batched: {grid['batched_wall_s']*1000:8.0f} ms  "
+            f"(per-spec cold reference)",
+            f"  engine : {grid['batched_wall_s']*1000:8.0f} ms  "
             f"({grid['batched']} lanes, {grid['evicted']} evicted, "
             f"occupancy {grid['occupancy']:.1f})",
             f"  speedup: {grid['speedup']:8.2f}x  (records identical: "
@@ -272,8 +245,9 @@ def main(argv=None) -> int:
                         help="fail when calibrated batched-campaign latency "
                              "exceeds this multiple of the baseline")
     parser.add_argument("--min-speedup", type=float, default=5.0,
-                        help="fail when the batched/scalar campaign speedup "
-                             "on the lockstep grid drops below this factor")
+                        help="fail when the engine's speedup over the "
+                             "per-spec cold reference on the lockstep grid "
+                             "drops below this factor")
     args = parser.parse_args(argv)
 
     report = run_suite(quick=args.quick)

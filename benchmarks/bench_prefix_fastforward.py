@@ -13,10 +13,12 @@ shape where the optimization multiplies: ``family_size x (prefix + suffix) /
 Reported metrics (written as ``BENCH_prefix_fastforward.json`` at the repo
 root so the perf trajectory is versioned alongside the code):
 
-* **campaign** — wall-clock of the campaign with the cache off vs. on
-  (``jobs=1``, so the speedup is pure fast-forwarding, not parallelism),
-  plus the cache hit/miss counts and the parity verdict (records must be
-  bit-identical either way — the run aborts if they are not);
+* **campaign** — wall-clock of the campaign through the engine against the
+  per-spec cold reference (a fresh SUT and a full prefix per spec), both at
+  ``jobs=1`` so the speedup is not parallelism, plus the engine's
+  hit/miss counts and the parity verdict (records must be bit-identical —
+  the run aborts if they are not). The engine also steps each family in
+  lockstep, so the speedup is prefix forking and lockstep together;
 * **snapshot** — microbenchmark of :class:`~repro.hw.memory.PhysicalMemory`
   delta snapshots: pages copied vs. reused across a snapshot/restore cycle
   of a booted deployment.
@@ -25,7 +27,7 @@ A ``calibration_s`` spin-loop is recorded alongside so the CI gate can
 normalise machine speed: ``--check-against BASELINE.json`` fails when the
 calibrated cached-campaign wall time regressed more than ``--max-regression``
 (default 2.0x), and ``--min-speedup`` (default 3.0) fails the run when the
-cache-on/cache-off ratio drops below it.
+engine/cold-reference ratio drops below it.
 
 Usage::
 
@@ -38,7 +40,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -51,21 +52,11 @@ if str(REPO_SRC) not in sys.path:
 
 from repro.core.config import CampaignConfig, PartRef           # noqa: E402
 from repro.core.sut import JailhouseSUT, SutConfig              # noqa: E402
-from repro.engine import CampaignEngine                         # noqa: E402
 
-from _common import machine_info                                # noqa: E402
+from _common import machine_info, time_against_cold_reference   # noqa: E402
+from bench_hotpath import calibrate                             # noqa: E402
 
 SCHEMA = "bench_prefix_fastforward/v1"
-
-
-def calibrate() -> float:
-    """Fixed pure-Python spin loop used to normalise machine speed."""
-    start = time.perf_counter()
-    total = 0
-    for index in range(2_000_000):
-        total += index & 0xFF
-    assert total > 0
-    return time.perf_counter() - start
 
 
 def fig3_style_config(*, seeds: int, settle: float,
@@ -101,28 +92,11 @@ def fig3_style_config(*, seeds: int, settle: float,
     )
 
 
-def records_of(result):
-    return [dataclasses.asdict(record) for record in result.to_records()]
-
-
 def bench_campaign(*, seeds: int, settle: float, duration: float,
                    repeats: int) -> dict:
     plan = fig3_style_config(seeds=seeds, settle=settle,
                              duration=duration).compile()
-    cold = cached = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        cold_result = CampaignEngine(plan, jobs=1).run()
-        cold = min(cold, time.perf_counter() - start)
-    for _ in range(repeats):
-        start = time.perf_counter()
-        cached_result = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        cached = min(cached, time.perf_counter() - start)
-    if records_of(cold_result) != records_of(cached_result):
-        raise AssertionError(
-            "prefix-cached campaign diverged from cold execution: the "
-            "fast-forward path must be record-for-record identical"
-        )
+    cold, cached, cached_result = time_against_cold_reference(plan, repeats)
     stats = cached_result.prefix_cache_stats()
     return {
         "experiments": len(plan),
@@ -259,8 +233,9 @@ def render(report: dict) -> str:
         f"{campaign['family_size']} "
         f"(settle {campaign['settle_s']:.0f}s + inject "
         f"{campaign['sim_duration_s']:.1f}s, jobs=1)",
-        f"  cold   : {campaign['cold_wall_s']*1000:8.0f} ms",
-        f"  cached : {campaign['cached_wall_s']*1000:8.0f} ms  "
+        f"  cold   : {campaign['cold_wall_s']*1000:8.0f} ms  "
+        f"(per-spec cold reference)",
+        f"  engine : {campaign['cached_wall_s']*1000:8.0f} ms  "
         f"({campaign['cache_hits']} hits / {campaign['cache_misses']} misses)",
         f"  speedup: {campaign['speedup']:8.2f}x  (records identical: "
         f"{campaign['records_identical']})",
@@ -286,8 +261,9 @@ def main(argv=None) -> int:
                         help="fail when calibrated cached-campaign latency "
                              "exceeds this multiple of the baseline")
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="fail when the cache-on/cache-off campaign "
-                             "speedup drops below this factor")
+                        help="fail when the engine's speedup over the "
+                             "per-spec cold reference drops below this "
+                             "factor")
     args = parser.parse_args(argv)
 
     report = run_suite(smoke=args.smoke)

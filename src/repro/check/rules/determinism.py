@@ -1,14 +1,15 @@
 """Rule ``determinism``: record-producing code must be replayable.
 
-Byte-identical records across execution strategies (serial, ``--jobs``,
-``--prefix-cache``, ``--batch``, the fleet) are the repo's core guarantee —
-every chaos and parity suite asserts it. Inside the packages that produce
-records or identities (``hw/``, ``hypervisor/``, ``guests/``, ``core/``,
-``engine/``) this rule forbids the ambient-entropy APIs (wall clocks,
-``os.urandom``, the module-level ``random.*`` global RNG, v1/v4 UUIDs) and
-the classic silent killer: iterating a ``set`` into anything
-order-sensitive. Seeded generators (``numpy.random.default_rng(seed)``,
-``random.Random(seed)``) are fine and are the suggested replacement.
+Byte-identical records across execution strategies (the per-spec cold
+reference, the family executor at any ``--jobs``, the fleet) are the repo's
+core guarantee — every chaos and parity suite asserts it. Inside the
+packages that produce records or identities (``hw/``, ``hypervisor/``,
+``guests/``, ``core/``, ``engine/``) this rule forbids the ambient-entropy
+APIs (wall clocks, ``os.urandom``, the module-level ``random.*`` global RNG,
+v1/v4 UUIDs) and the classic silent killer: iterating a ``set`` into
+anything order-sensitive. Seeded generators
+(``numpy.random.default_rng(seed)``, ``random.Random(seed)``) are fine and
+are the suggested replacement.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Rule ``snapshot-complete``: ``snapshot_state`` covers what mutates.
 
-Prefix fast-forward, pooling, and batched lockstep all fork simulations
-from snapshots; a mutable field that is missing from — or *aliased into* —
-a snapshot corrupts every fork sharing it (the PR-8 ``ParkRecord`` bug).
-For every class implementing ``snapshot_state`` this rule cross-checks the
-attributes assigned in ``__init__`` against the snapshot body:
+The family executor's pooled SUTs, prefix forks and lockstep batches all
+fork simulations from snapshots; a mutable field that is missing from — or
+*aliased into* — a snapshot corrupts every fork sharing it (the mutable
+``ParkRecord`` bug). For every class implementing ``snapshot_state`` this
+rule cross-checks the attributes assigned in ``__init__`` against the
+snapshot body:
 
 * an attribute mutated anywhere after construction (including by
   ``restore_state``) must be *read* by ``snapshot_state``;

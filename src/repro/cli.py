@@ -64,9 +64,10 @@ to an append-only checkpoint at PATH, skipping specs already recorded there —
 a killed campaign picks up where it left off. ``--sut`` selects the system
 under test by registry name (``jailhouse``, ``bao-like``, ``no-isolation``,
 or any plugin-registered variant); spec identities do not depend on the SUT,
-so the same checkpoint drives campaigns against every variant.
-``--pooling``, ``--prefix-cache`` and ``--chunk-size`` tune execution speed
-without changing any outcome — see the README's Performance guide.
+so the same checkpoint drives campaigns against every variant. The engine
+decides by itself how to run each prefix family (pooled SUTs, prefix forks,
+lockstep batches) without changing any record — see the README's
+Performance guide.
 """
 
 from __future__ import annotations
@@ -131,11 +132,8 @@ from repro.errors import (
     AnalysisError,
     CampaignConfigError,
     CampaignError,
-    CheckError,
     FleetError,
-    FleetProtocolError,
-    ObservabilityError,
-    RegistryError,
+    ReproError,
 )
 from repro.obs.telemetry import Telemetry
 from repro.hypervisor.handlers import ALL_HANDLERS
@@ -245,30 +243,18 @@ def _observability(plan, args):
 
 
 def _run_plan(plan, args, sut_factory=None, classifier=None,
-              prefix_cache_default: bool = False,
-              batch_default: bool = False,
-              batch_size_default: "int | None" = None,
               chunk_size_default: "int | str | None" = None,
               timeout_default: "float | None" = None,
               retries_default: "int | None" = None,
               max_worker_restarts_default: "int | None" = None):
     """Execute a plan through the engine with the shared campaign flags.
 
-    ``--prefix-cache/--no-prefix-cache``, ``--chunk-size``, ``--timeout``,
-    ``--retries`` and ``--max-worker-restarts`` override the defaults (which
-    ``repro-fi run`` takes from the campaign config). CLI campaigns always
-    run supervised: a crashing or hanging spec is retried and then
-    quarantined rather than taking the whole run down.
+    ``--chunk-size``, ``--timeout``, ``--retries`` and
+    ``--max-worker-restarts`` override the defaults (which ``repro-fi run``
+    takes from the campaign config). CLI campaigns always run supervised: a
+    crashing or hanging spec is retried and then quarantined rather than
+    taking the whole run down.
     """
-    prefix_cache = getattr(args, "prefix_cache", None)
-    if prefix_cache is None:
-        prefix_cache = prefix_cache_default
-    batch = getattr(args, "batch", None)
-    if batch is None:
-        batch = batch_default
-    batch_size = getattr(args, "batch_size", None)
-    if batch_size is None:
-        batch_size = batch_size_default
     chunk_size = _parse_chunk_size(getattr(args, "chunk_size", None))
     if chunk_size is None:
         chunk_size = chunk_size_default
@@ -307,10 +293,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
             checkpoint_path=args.resume,
             resume=args.resume is not None,
             chunk_size=chunk_size,
-            pooling=getattr(args, "pooling", False),
-            prefix_cache=prefix_cache,
-            batch=batch,
-            batch_size=batch_size,
             progress=progress,
             telemetry=telemetry,
             timeout_s=timeout_s,
@@ -336,8 +318,8 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
     if stats["hits"] or stats["misses"]:
         executed = stats["hits"] + stats["misses"]
         print(f"prefix cache: {stats['hits']} hits / {stats['misses']} "
-              f"misses ({stats['hits'] / executed:.0%} of cached "
-              f"experiments fast-forwarded)", file=sys.stderr)
+              f"misses ({stats['hits'] / executed:.0%} of family "
+              f"members forked from a snapshot)", file=sys.stderr)
     batch_stats = result.batch_stats()
     if batch_stats["batched"]:
         lockstep = batch_stats["batched"] - batch_stats["evicted"]
@@ -451,9 +433,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         plan, args,
         sut_factory=config.sut_factory(override=args.sut),
         classifier=config.build_classifier(),
-        prefix_cache_default=config.prefix_cache,
-        batch_default=config.batch,
-        batch_size_default=config.batch_size,
         chunk_size_default=config.chunk_size,
         timeout_default=config.timeout_s,
         retries_default=config.retries,
@@ -838,10 +817,6 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
         args.url,
         host=args.name,
         jobs=args.jobs,
-        pooling=getattr(args, "pooling", False),
-        prefix_cache=args.prefix_cache,
-        batch=args.batch,
-        batch_size=args.batch_size,
         chunk_size=_parse_chunk_size(getattr(args, "chunk_size", None)),
         timeout_s=args.timeout,
         retries=args.retries,
@@ -1004,42 +979,12 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--resume", metavar="PATH",
                              help="checkpoint records to PATH and skip specs "
                                   "already recorded there")
-        command.add_argument("--pooling", action="store_true",
-                             help="reuse one booted SUT per worker via "
-                                  "snapshot/restore instead of cold-booting "
-                                  "every experiment (outcomes are identical)")
-        command.add_argument("--prefix-cache",
-                             action=argparse.BooleanOptionalAction,
-                             default=None,
-                             help="execute each distinct pre-injection prefix "
-                                  "once and fork all fault variants from its "
-                                  "snapshot (records are identical to cold "
-                                  "execution; implies --pooling); "
-                                  "--no-prefix-cache overrides a config that "
-                                  "enables it")
-        command.add_argument("--batch",
-                             action=argparse.BooleanOptionalAction,
-                             default=None,
-                             help="step all fault variants of a prefix "
-                                  "family through one shared simulation in "
-                                  "lockstep until their injectors fire "
-                                  "(records are identical to scalar "
-                                  "execution; implies --prefix-cache); "
-                                  "--no-batch overrides a config that "
-                                  "enables it")
-        command.add_argument("--batch-size", type=int, default=None,
-                             metavar="N",
-                             help="max lanes per lockstep batch "
-                                  "(default 16); only meaningful with "
-                                  "--batch")
         command.add_argument("--chunk-size", metavar="N|auto",
                              help="experiments per pool task (default 1: "
-                                  "every completion streams/checkpoints "
-                                  "immediately; with --prefix-cache and "
-                                  "--jobs>1 tasks are whole prefix families, "
-                                  "so that is the streaming granularity); "
-                                  "'auto' sizes tasks for very short "
-                                  "experiments")
+                                  "each prefix family is its own task, so "
+                                  "it streams and checkpoints as soon as it "
+                                  "completes); 'auto' sizes tasks for very "
+                                  "short experiments")
         command.add_argument("--timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="per-experiment wall-clock watchdog: a "
@@ -1265,8 +1210,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "submitted later with 'repro-fi submit'")
     serve.add_argument("--shard-size", type=int, default=8, metavar="N",
                        help="max specs per lease shard (default 8); whole "
-                            "prefix families stay together so worker-side "
-                            "--prefix-cache/--batch keep working")
+                            "prefix families stay together so each worker "
+                            "forks and batches them")
     serve.add_argument("--lease-ttl", type=float, default=15.0,
                        metavar="SECONDS",
                        help="lease expires if not renewed by a heartbeat "
@@ -1321,22 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_worker.add_argument("--jobs", type=int, default=1,
                               help="worker processes per shard "
                                    "(0 = one per CPU)")
-    fleet_worker.add_argument("--pooling", action="store_true",
-                              help="reuse booted SUTs per engine worker "
-                                   "(same flag as the campaign "
-                                   "subcommands)")
-    fleet_worker.add_argument("--prefix-cache",
-                              action=argparse.BooleanOptionalAction,
-                              default=None,
-                              help="override the campaign config's "
-                                   "prefix-cache setting for this worker")
-    fleet_worker.add_argument("--batch",
-                              action=argparse.BooleanOptionalAction,
-                              default=None,
-                              help="override the campaign config's "
-                                   "lockstep-batching setting")
-    fleet_worker.add_argument("--batch-size", type=int, default=None,
-                              metavar="N")
     fleet_worker.add_argument("--chunk-size", metavar="N|auto")
     fleet_worker.add_argument("--timeout", type=float, default=None,
                               metavar="SECONDS",
@@ -1446,38 +1375,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.cpu = None
     try:
         return args.func(args)
-    except (RegistryError, CampaignConfigError) as exc:
-        # Unknown keys and malformed configs are user input errors: report
-        # them (with the registry's did-you-mean suggestions) instead of a
-        # traceback.
+    except ReproError as exc:
+        # Bad configs, unknown registry keys, malformed records, invalid
+        # engine arguments, unreachable fleets: reported, never a traceback.
+        # The class carries the exit code (2 = usage error, 1 = everything
+        # else).
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AnalysisError as exc:
-        # Malformed/incompatible record files (bad JSON lines, newer
-        # schema_version, ...) are data errors: name the file and line
-        # instead of a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ObservabilityError as exc:
-        # Unbindable watch ports, missing benchmark reports, invalid
-        # telemetry files: environment/data errors, not tracebacks.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FleetProtocolError as exc:
-        # Version mismatches and malformed fleet messages mean incompatible
-        # software on the two ends — a usage error, like a bad config.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FleetError as exc:
-        # Unreachable coordinators, merge conflicts, un-resumable state:
-        # operational errors, reported without a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CheckError as exc:
-        # Unknown rule names, unreadable baselines, bad roots: usage errors
-        # of the static checker, distinct from exit 1 (real findings).
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests of main()

@@ -94,12 +94,11 @@ class CampaignResult:
     def prefix_cache_stats(self) -> Dict[str, int]:
         """Prefix fast-forward effectiveness of this campaign.
 
-        ``hits`` forked from a cached pre-injection snapshot, ``misses``
-        executed (and cached) their family's prefix, ``uncached`` ran with
-        the cache off or bypassed (cold-boot opt-outs, resumed records,
-        SUTs without snapshot support). Execution bookkeeping, not part of
-        the persisted records — a cached campaign's records are identical
-        to a cold one's.
+        ``hits`` forked from their family's pre-injection snapshot,
+        ``misses`` executed (and snapshotted) their family's prefix,
+        ``uncached`` ran without one (singleton families, cold-boot
+        opt-outs, resumed records, SUTs without snapshot support).
+        Execution bookkeeping, not part of the persisted records.
         """
         hits = sum(1 for result in self.results
                    if result.prefix_cache_hit is True)
@@ -117,9 +116,8 @@ class CampaignResult:
         ``batched`` results executed inside a lockstep batch, ``evicted``
         of those fired their injector mid-batch and were replayed scalar
         from the last sync boundary, ``scalar`` ran outside any batch
-        (batching off, ineligible specs, fallbacks). Like
-        :meth:`prefix_cache_stats` this is execution bookkeeping only — a
-        batched campaign's records are identical to a scalar one's.
+        (ineligible specs, singleton families, fallbacks). Like
+        :meth:`prefix_cache_stats` this is execution bookkeeping only.
         """
         batched = sum(1 for result in self.results
                       if result.batch_id is not None)
@@ -199,10 +197,6 @@ class Campaign:
             jobs: int = 1,
             checkpoint_path: Optional[str] = None,
             resume: bool = False,
-            pooling: bool = False,
-            prefix_cache: bool = False,
-            batch: bool = False,
-            batch_size: Optional[int] = None,
             chunk_size: "int | str | None" = None,
             telemetry=None,
             timeout_s: Optional[float] = None,
@@ -213,24 +207,17 @@ class Campaign:
         """Execute every experiment in the plan.
 
         Execution is delegated to the :class:`~repro.engine.runner.
-        CampaignEngine`; the default ``jobs=1`` runs in-process in plan order,
-        exactly as the historical sequential loop did, while ``jobs=N`` (or
-        ``jobs=0`` for one worker per CPU) fans the plan out across a process
-        pool. ``checkpoint_path`` streams completed records to an append-only
-        file; with ``resume=True`` specs whose records already exist there are
-        restored instead of re-executed. ``pooling=True`` enables SUT
-        snapshot/reset pooling: each worker boots one system under test and
-        restores it between experiments, with outcomes identical to cold
-        boots. ``prefix_cache=True`` additionally executes each distinct
-        pre-injection prefix once per worker and forks all fault variants of
-        that prefix family from its snapshot — again with records identical
-        to cold execution (it implies ``pooling`` so all cached prefixes
-        share one SUT per worker). ``batch=True`` steps all fault variants
-        of a prefix family through one shared simulation in lockstep until
-        their injectors fire (``batch_size`` caps the lanes per batch; it
-        implies ``prefix_cache``) — records again identical to scalar
-        execution. ``chunk_size`` groups pool tasks
-        (``"auto"`` derives a size from the queue; see
+        CampaignEngine`; the default ``jobs=1`` runs in-process, while
+        ``jobs=N`` (or ``jobs=0`` for one worker per CPU) fans the plan out
+        across a process pool. ``checkpoint_path`` streams completed records
+        to an append-only file; with ``resume=True`` specs whose records
+        already exist there are restored instead of re-executed. However it
+        runs, every process reuses one system under test, runs each prefix
+        family's pre-injection prefix once and forks the other members from
+        its snapshot, and steps steady-state family members in lockstep —
+        with records identical to running each spec on a fresh system under
+        test (``cold_boot=True`` specs opt out). ``chunk_size`` groups pool
+        tasks (``"auto"`` derives a size from the queue; see
         :func:`~repro.engine.scheduler.suggest_chunk_size`). ``telemetry``
         attaches a :class:`~repro.obs.telemetry.Telemetry` bus for live
         observability (structured events + the ``watch`` dashboard).
@@ -258,10 +245,6 @@ class Campaign:
             classifier=self.classifier,
             checkpoint_path=checkpoint_path,
             resume=resume,
-            pooling=pooling,
-            prefix_cache=prefix_cache,
-            batch=batch,
-            batch_size=batch_size,
             chunk_size=chunk_size,
             progress=engine_progress,
             telemetry=telemetry,

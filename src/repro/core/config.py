@@ -60,8 +60,8 @@ _CAMPAIGN_KEYS = frozenset({
     "name", "description", "tests", "base_seed", "duration", "settle_time",
     "warmup_time", "observe_time", "intensity", "scenario", "sut",
     "classifier", "sampling", "sample_size", "sample_seed",
-    "high_intensity_registers", "prefix_cache", "batch", "batch_size",
-    "chunk_size", "timeout_s", "retries", "max_worker_restarts",
+    "high_intensity_registers", "chunk_size", "timeout_s", "retries",
+    "max_worker_restarts",
 })
 #: Top-level tables/arrays accepted next to ``[campaign]``.
 _TOP_LEVEL_KEYS = frozenset({"campaign", "target", "trigger", "fault_model"})
@@ -153,18 +153,6 @@ class CampaignConfig:
     sampling: str = "grid"
     sample_size: Optional[int] = None
     sample_seed: int = 0
-    #: Prefix fast-forward: execute each distinct pre-injection prefix once
-    #: and fork all fault variants from its snapshot (records identical to
-    #: cold execution). The CLI's ``--prefix-cache/--no-prefix-cache``
-    #: overrides this.
-    prefix_cache: bool = False
-    #: Batched lockstep core: step all fault variants of a prefix family
-    #: through one shared simulation until their injectors fire (implies
-    #: ``prefix_cache``; records identical to scalar execution).
-    #: ``batch_size`` caps the lanes per batch (``None`` = engine default).
-    #: The CLI's ``--batch/--no-batch`` and ``--batch-size`` override these.
-    batch: bool = False
-    batch_size: Optional[int] = None
     #: Pool-task granularity: a positive int, ``"auto"``, or ``None`` for the
     #: engine default of one experiment per task. The CLI's ``--chunk-size``
     #: overrides this.
@@ -237,10 +225,6 @@ class CampaignConfig:
             sample_size=(int(campaign["sample_size"])
                          if "sample_size" in campaign else None),
             sample_seed=int(campaign.get("sample_seed", 0)),
-            prefix_cache=bool(campaign.get("prefix_cache", False)),
-            batch=bool(campaign.get("batch", False)),
-            batch_size=(int(campaign["batch_size"])
-                        if "batch_size" in campaign else None),
             chunk_size=campaign.get("chunk_size"),
             timeout_s=(float(campaign["timeout_s"])
                        if "timeout_s" in campaign else None),
@@ -286,8 +270,6 @@ class CampaignConfig:
             "sampling": self.sampling,
             "sample_seed": self.sample_seed,
             "high_intensity_registers": self.high_intensity_registers,
-            "prefix_cache": self.prefix_cache,
-            "batch": self.batch,
         }
         if self.description:
             campaign["description"] = self.description
@@ -295,7 +277,7 @@ class CampaignConfig:
             campaign["intensity"] = self.intensity
         if self.sample_size is not None:
             campaign["sample_size"] = self.sample_size
-        for key in ("batch_size", "chunk_size", "timeout_s", "retries",
+        for key in ("chunk_size", "timeout_s", "retries",
                     "max_worker_restarts"):
             value = getattr(self, key)
             if value is not None:
@@ -350,12 +332,6 @@ class CampaignConfig:
         if self.max_worker_restarts is not None and self.max_worker_restarts < 0:
             raise CampaignConfigError(
                 "[campaign] max_worker_restarts must be non-negative")
-        if self.batch_size is not None and (
-                isinstance(self.batch_size, bool)
-                or not isinstance(self.batch_size, int)
-                or self.batch_size <= 0):
-            raise CampaignConfigError(
-                "[campaign] batch_size must be a positive integer")
         if self.chunk_size is not None:
             # Deferred import: core describes campaigns, engine executes
             # them, and the chunk-size rule belongs to the execution layer.

@@ -127,9 +127,9 @@ class ExperimentSpec:
     observe_time: float = 10.0
     seed: int = 0
     intensity: str = "custom"
-    #: Opt this spec out of SUT snapshot/reset pooling: the engine then
-    #: builds a brand-new system under test for it even when the campaign
-    #: runs with pooling enabled. Not part of the spec identity.
+    #: Opt this spec out of SUT pooling, prefix forks and lockstep batches:
+    #: the engine builds a brand-new system under test for it and runs it
+    #: as a plain ``Experiment.run()``. Not part of the spec identity.
     cold_boot: bool = False
 
     def describe(self) -> str:

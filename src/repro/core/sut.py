@@ -166,7 +166,7 @@ class JailhouseSUT(SystemUnderTest):
             if self._boot_snapshot_seed == self.config.seed:
                 self.restore(self._boot_snapshot)
                 return
-            # The boot snapshot belongs to another seed: the prefix cache
+            # The boot snapshot belongs to another seed: the family executor
             # forked this SUT across families since it was captured. Rewind
             # to the pristine state and cold-boot for the current seed.
             self.reset_for_seed(self.config.seed)

@@ -3,9 +3,9 @@
 The paper's methodology is thousands of independent fault-injection
 experiments per campaign; this subsystem executes them at scale. It separates
 *plan* from *execution* the way chaos-engineering harnesses do: a
-:class:`~repro.core.plan.TestPlan` is sharded into a deterministic work
-queue (:mod:`~repro.engine.scheduler`), executed across a *supervised*
-worker pool that rebuilds each system under test from spec + seed and
+:class:`~repro.core.plan.TestPlan` is turned into a deterministic work
+queue of prefix families (:mod:`~repro.engine.scheduler`), executed by one
+family executor — in process or across a *supervised* worker pool that
 survives worker deaths, hangs, and poison specs
 (:mod:`~repro.engine.workers`, :mod:`~repro.engine.supervisor`,
 :mod:`~repro.engine.quarantine`), streamed to a crash-safe checkpoint that
@@ -28,8 +28,6 @@ from repro.engine.scheduler import (
     Shard,
     WorkItem,
     build_work_queue,
-    shard_for_pool,
-    shard_work,
     suggest_chunk_size,
 )
 from repro.engine.supervisor import RunPolicy, SupervisedPool
@@ -51,7 +49,5 @@ __all__ = [
     "execute_pool",
     "execute_serial",
     "resolve_jobs",
-    "shard_for_pool",
-    "shard_work",
     "suggest_chunk_size",
 ]

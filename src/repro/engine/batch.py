@@ -1,16 +1,17 @@
 """Batched lockstep execution of prefix families.
 
-PR 4's prefix fast-forward already groups specs into *prefix families*: specs
-whose pre-injection bring-up is identical, so every member can fork from one
-snapshot. This module exploits the stronger property the steady-state
-scenario gives us *after* the fork: until a lane's injector actually fires,
-the lane's simulated evolution is bit-identical to every other lane's —
-armed injectors only *observe* (counters, trigger draws, lane-private RNG
-state; no board state touched) and evidence collection is read-only. So one
-worker can advance a whole family in lockstep on **one shared simulated
-state**, feeding each lane's injector through the observation half of the
-entry hook (:meth:`~repro.core.injection.FaultInjector.observe_call`), and
-only pay per-lane simulation cost for the lanes whose fault actually lands.
+The family executor (:class:`~repro.engine.workers.FamilyExecutor`) groups
+specs into *prefix families*: specs whose pre-injection bring-up is
+identical, so every member can fork from one snapshot. This module exploits
+the stronger property the steady-state scenario gives us *after* the fork:
+until a lane's injector actually fires, the lane's simulated evolution is
+bit-identical to every other lane's — armed injectors only *observe*
+(counters, trigger draws, lane-private RNG state; no board state touched)
+and evidence collection is read-only. So one worker can advance a whole
+family in lockstep on **one shared simulated state**, feeding each lane's
+injector through the observation half of the entry hook
+(:meth:`~repro.core.injection.FaultInjector.observe_call`), and only pay
+per-lane simulation cost for the lanes whose fault actually lands.
 
 Divergence is handled by **eviction, not emulation**: the instant a lane's
 trigger reports a fire — the exact point its scalar run would depart from
@@ -26,13 +27,11 @@ therefore no new code path that could disagree with the scalar engine. A
 property test over the catalog campaigns enforces this end to end
 (``tests/engine/test_batch_lockstep.py``).
 
-Restore fidelity is guarded with the structure-of-arrays hardware state from
-:mod:`repro.hw.batch`: around every eviction replay the stepper captures all
-CPUs' register files into a :class:`~repro.hw.batch.BatchedRegisterFile`
-(plus a :func:`~repro.hw.batch.batched_read` sample of each CPU's stack top)
-and verifies the post-restore capture is bit-identical — a violated
-invariant raises :class:`BatchDivergenceError` and the worker reruns the
-family scalar.
+Restore fidelity is guarded around every eviction replay: the stepper
+captures every CPU's registers (plus the word on top of each CPU's stack)
+before the replay and verifies the post-restore capture is identical — a
+violated invariant raises :class:`BatchDivergenceError` and the executor
+reruns the batch scalar.
 """
 
 from __future__ import annotations
@@ -45,14 +44,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.experiment import Experiment, ExperimentResult, Scenario
 from repro.core.injection import FaultInjector
 from repro.errors import CampaignError
-from repro.hw.batch import BatchedRegisterFile, batched_read
 from repro.hw.memory import AccessType
 from repro.hw.registers import Register
 from repro.hypervisor.core import HypervisorState
 
-#: Default number of lanes one batch steps together. Families larger than
-#: this split into consecutive sub-batches re-forked from the same snapshot.
-DEFAULT_BATCH_SIZE = 16
+#: Lanes one batch steps together. Families larger than this split into
+#: consecutive batches, each forked from the same family snapshot.
+BATCH_SIZE = 16
 
 #: Shared steps between boundary captures. A boundary costs one SUT snapshot
 #: plus an injector deep copy per live lane; an eviction replays from the
@@ -305,29 +303,21 @@ class BatchStepper:
 
     # -- restore-fidelity guard --------------------------------------------------------
 
-    def _capture_guard(self) -> Tuple[BatchedRegisterFile, Tuple[int, ...]]:
-        """Digest the shared state: all CPU register files + stack-top words.
-
-        Registers land one CPU per lane in a
-        :class:`~repro.hw.batch.BatchedRegisterFile` (slab equality is one
-        flat compare); the stack tops are sampled with one
-        :func:`~repro.hw.batch.batched_read` call, which groups the CPUs'
-        same-page stack words through the page index.
-        """
+    def _capture_guard(self) -> Tuple[Tuple[dict, ...], Tuple[int, ...]]:
+        """Digest the shared state: every CPU's registers + stack-top word."""
         board = self.sut.board
-        registers = BatchedRegisterFile(len(board.cpus))
-        accesses = []
-        for lane_index, cpu in enumerate(board.cpus):
-            registers.capture_lane(lane_index, cpu.registers)
+        registers = tuple(cpu.registers.snapshot() for cpu in board.cpus)
+        words = []
+        for cpu in board.cpus:
             stack_pointer = cpu.registers.read(Register.SP)
             region = board.memory.find_region(stack_pointer)
             if (region is not None and region.contains(stack_pointer, 4)
                     and region.permits(AccessType.READ)):
-                accesses.append((stack_pointer, 4))
-        words = tuple(batched_read(board.memory, accesses)) if accesses else ()
-        return registers, words
+                words.append(board.memory.read(stack_pointer, 4))
+        return registers, tuple(words)
 
-    def _verify_restore(self, guard: Tuple[BatchedRegisterFile, Tuple[int, ...]]) -> None:
+    def _verify_restore(self, guard: Tuple[Tuple[dict, ...], Tuple[int, ...]]
+                        ) -> None:
         registers, words = guard
         after_registers, after_words = self._capture_guard()
         if registers != after_registers or words != after_words:

@@ -5,10 +5,11 @@ sequential loop that used to live in ``Campaign.run`` (which now delegates
 here). It composes the other engine modules:
 
 * :mod:`repro.engine.scheduler` orders the plan into a deterministic work
-  queue and chunks it for the pool;
-* :mod:`repro.engine.workers` executes chunks — in-process for ``jobs=1``,
-  across a multiprocessing pool otherwise, each worker rebuilding the system
-  under test from spec + seed so parallel output is identical to sequential;
+  queue and shards it into whole prefix families for the pool;
+* :mod:`repro.engine.workers` runs the queue through one family executor —
+  in-process for ``jobs=1``, in every supervised pool worker otherwise —
+  whose records are identical to running each spec on a fresh system under
+  test;
 * :mod:`repro.engine.checkpoint` streams completed records to an append-only
   file and, on resume, skips specs whose records already exist;
 * :mod:`repro.engine.aggregate` folds results into rolling statistics
@@ -56,12 +57,7 @@ from repro.engine.supervisor import (
     DEFAULT_RETRIES,
     RunPolicy,
 )
-from repro.engine.workers import (
-    DEFAULT_PREFIX_CACHE_SIZE,
-    execute_pool,
-    execute_serial,
-    resolve_jobs,
-)
+from repro.engine.workers import execute_pool, execute_serial, resolve_jobs
 from repro.errors import CampaignError
 
 
@@ -75,11 +71,6 @@ class CampaignEngine:
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
                  chunk_size: "int | str | None" = None,
-                 pooling: bool = False,
-                 prefix_cache: bool = False,
-                 prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
-                 batch: bool = False,
-                 batch_size: Optional[int] = None,
                  progress: Optional[EngineProgress] = None,
                  telemetry: "Telemetry | None" = None,
                  timeout_s: Optional[float] = None,
@@ -136,40 +127,11 @@ class CampaignEngine:
         self.infra_counts: dict = {}
         #: How many quarantine entries the last resume dropped for re-offer.
         self.reoffered = 0
-        #: Pool-task granularity: a positive int, ``None`` (= 1, stream every
-        #: completion immediately), or ``"auto"`` to size tasks from the
-        #: still-to-run queue via :func:`~repro.engine.scheduler.
-        #: suggest_chunk_size`.
+        #: Pool-task granularity: a positive int, ``None`` (= 1: every prefix
+        #: family is its own task, so a singleton family streams as soon as
+        #: it completes), or ``"auto"`` to size tasks from the still-to-run
+        #: queue via :func:`~repro.engine.scheduler.suggest_chunk_size`.
         self.chunk_size = normalize_chunk_size(chunk_size)
-        #: Prefix fast-forward: execute each distinct pre-injection prefix
-        #: once, snapshot it, and fork every fault variant of that prefix
-        #: family from the snapshot. Record-for-record identical to cold
-        #: execution (see the prefix parity tests); ``cold_boot=True`` specs
-        #: opt out here too.
-        #: Batched lockstep core: step each prefix family's steady-state
-        #: members together on one shared simulated state, evicting a lane
-        #: to the scalar path the moment its injector fires
-        #: (:mod:`repro.engine.batch`). Record-for-record identical to
-        #: scalar execution (see the batch parity tests). Implies the prefix
-        #: cache — batches fork from the family's post-prefix snapshot.
-        self.batch = batch
-        if batch_size is not None and (isinstance(batch_size, bool)
-                                       or not isinstance(batch_size, int)
-                                       or batch_size <= 0):
-            raise CampaignError(
-                f"batch size must be a positive integer, got {batch_size!r}"
-            )
-        self.batch_size = batch_size
-        self.prefix_cache = prefix_cache or batch
-        #: Snapshot/reset pooling: each worker keeps one system under test
-        #: alive and restores it between experiments instead of rebuilding.
-        #: Outcomes are identical either way (see the campaign-parity tests);
-        #: specs can opt out individually with ``cold_boot=True``. The prefix
-        #: cache implies pooling — without it every family miss would build a
-        #: fresh SUT and the LRU would pin one whole object graph per entry,
-        #: whereas a pooled worker's entries all share its single SUT.
-        self.pooling = pooling or prefix_cache
-        self.prefix_cache_size = prefix_cache_size
         self.progress = progress
         #: Optional :class:`~repro.obs.telemetry.Telemetry` bus. ``None`` (or
         #: an inactive bus) keeps the result loop exactly as fast as before —
@@ -194,9 +156,6 @@ class CampaignEngine:
                 plan=self.plan.name,
                 total=total,
                 jobs=self.jobs,
-                pooling=self.pooling,
-                prefix_cache=self.prefix_cache,
-                batch=self.batch,
                 resume=self.resume,
                 checkpoint=(str(self.checkpoint.path)
                             if self.checkpoint is not None else None),
@@ -260,20 +219,11 @@ class CampaignEngine:
 
         if self.jobs == 1:
             stream = execute_serial(queue, self.sut_factory, self.classifier,
-                                    self.pooling, self.prefix_cache,
-                                    self.prefix_cache_size,
-                                    policy=self.policy, on_event=on_event,
-                                    batch=self.batch,
-                                    batch_size=self.batch_size)
+                                    policy=self.policy, on_event=on_event)
         else:
             stream = execute_pool(queue, self.jobs, self.sut_factory,
                                   self.classifier, chunk_size=chunk_size,
-                                  pooling=self.pooling,
-                                  prefix_cache=self.prefix_cache,
-                                  prefix_cache_size=self.prefix_cache_size,
-                                  policy=self.policy, on_event=on_event,
-                                  batch=self.batch,
-                                  batch_size=self.batch_size)
+                                  policy=self.policy, on_event=on_event)
 
         # Batches execute inside worker processes, which cannot reach the
         # parent's telemetry bus; their lifecycle events are synthesized here

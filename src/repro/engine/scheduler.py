@@ -5,7 +5,7 @@ hundreds of tests per target function and intensity level), so the execution
 order carries no semantic weight — only the per-spec seed does. That makes the
 plan trivially shardable: this module turns a :class:`~repro.core.plan.TestPlan`
 into an ordered work queue of :class:`WorkItem`\\ s (plan position + spec),
-splits the queue into deterministic shards/chunks for the worker pool, and
+groups it into prefix families and whole-family shards for the worker pool, and
 keeps everything reproducible: the same plan always yields the same queue, the
 same shards, and — because results are re-assembled by plan position — the
 same :class:`~repro.core.campaign.CampaignResult` regardless of how many
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.plan import TestPlan
@@ -60,45 +60,6 @@ def build_work_queue(plan: TestPlan,
         for index, spec in enumerate(plan)
         if index not in skip_indices
     ]
-
-
-def shard_work(items: Sequence[WorkItem], num_shards: int) -> List[Shard]:
-    """Split the queue into ``num_shards`` round-robin shards.
-
-    Round-robin (item ``i`` goes to shard ``i % num_shards``) keeps shards
-    balanced even when a plan interleaves short and long experiments (the
-    paper mixes 20 s lifecycle tests with 60 s steady-state tests), and it is
-    fully determined by the queue order — no randomness, no timing.
-    """
-    if num_shards <= 0:
-        raise CampaignError(f"shard count must be positive, got {num_shards}")
-    num_shards = min(num_shards, max(len(items), 1))
-    buckets: List[List[WorkItem]] = [[] for _ in range(num_shards)]
-    for position, item in enumerate(items):
-        buckets[position % num_shards].append(item)
-    return [
-        Shard(shard_index=index, items=tuple(bucket))
-        for index, bucket in enumerate(buckets)
-    ]
-
-
-def shard_for_pool(items: Sequence[WorkItem],
-                   chunk_size: int) -> List[Shard]:
-    """Group the queue into pool tasks of roughly ``chunk_size`` items each.
-
-    Grouping amortizes task-dispatch overhead when experiments are very
-    short; ``chunk_size=1`` gives the finest streaming/checkpoint granularity
-    and is the right choice for the paper's one-minute tests. Groups are the
-    round-robin shards of :func:`shard_work`, so a plan whose durations vary
-    systematically (short lifecycle tests first, long steady-state tests
-    last) still spreads evenly across workers.
-    """
-    if chunk_size <= 0:
-        raise CampaignError(f"chunk size must be positive, got {chunk_size}")
-    if not items:
-        return []
-    num_tasks = (len(items) + chunk_size - 1) // chunk_size
-    return shard_work(items, num_tasks)
 
 
 @dataclass(frozen=True)
@@ -147,11 +108,11 @@ def shard_families(families: Sequence[PrefixFamily], chunk_size: int = 1,
                    min_shards: int = 1) -> List[Shard]:
     """Turn pre-grouped prefix families into pool tasks.
 
-    The pool hands tasks out round-robin over the family sequence, so one
+    The pool hands tasks out in order over the family sequence, so one
     worker owns a family end to end and pays its prefix once. ``chunk_size``
     greater than one merges consecutive small families into one task until
     the item count reaches it, trading checkpoint granularity for dispatch
-    overhead exactly like :func:`shard_for_pool` does for chunks.
+    overhead.
 
     ``min_shards`` (the worker count) guards against the opposite problem:
     fewer families than workers would silently idle the surplus workers, so
@@ -237,8 +198,8 @@ def plan_shards(plan: TestPlan, *, shard_size: int,
     out, so a resume re-offers exactly the unfinished work. Shards are built
     from whole prefix families (:func:`group_by_prefix`) merged up to
     ``shard_size`` specs per shard, so a worker that owns a shard pays each
-    pre-injection prefix once and its ``--prefix-cache``/``--batch`` engine
-    runs at full effect. Fully determined by the plan and ``shard_size`` —
+    pre-injection prefix once and its family executor forks and batches
+    whole families. Fully determined by the plan and ``shard_size`` —
     no randomness, no timing — so every host derives the same shards.
     """
     if shard_size <= 0:

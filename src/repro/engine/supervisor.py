@@ -15,9 +15,9 @@ This module replaces it with an explicitly supervised pool:
 * the parent multiplexes pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so both results and deaths wake it
   immediately;
-* each worker announces every experiment before running it (``start``
-  messages double as heartbeats), giving the parent an exact in-flight item
-  to time out, retry, or blame when the worker dies;
+* each worker announces every experiment (or lockstep batch) before
+  running it (``start`` messages double as heartbeats), giving the parent
+  an exact in-flight item to time out, retry, or blame when the worker dies;
 * dead workers are respawned (bounded by :attr:`RunPolicy.max_worker_restarts`
   for unexpected deaths; deliberate timeout kills are bounded per spec by
   :attr:`RunPolicy.retries` instead) and the untouched remainder of their
@@ -165,19 +165,21 @@ def _sendable_error(exc: BaseException) -> BaseException:
 def _supervised_worker(conn, init_args: tuple) -> None:
     """Worker process main loop: run shards received over the pipe.
 
-    Messages to the parent: ``("start", shard_id, index)`` before every
-    experiment (heartbeat + timeout anchor), ``("done_item", shard_id, index,
-    result)`` / ``("error_item", shard_id, index, exc)`` after it, and
+    Each shard runs through the worker's own
+    :class:`~repro.engine.workers.FamilyExecutor`. Messages to the parent:
+    ``("start", shard_id, index)`` before every scalar experiment and every
+    lockstep batch (heartbeat + timeout anchor; a batch is announced by its
+    first lane, which is then its crash/timeout victim while the other lanes
+    are requeued innocent), ``("done_item", shard_id, index, result)`` /
+    ``("error_item", shard_id, index, exc)`` per experiment, and
     ``("done_shard", shard_id)`` when the shard is exhausted, at which point
     the worker is idle and waits for the next ``("task", ...)`` or
-    ``("stop",)``.
+    ``("stop",)``. A failed batch resets the executor and re-runs its
+    members scalar, so retries and quarantine stay per experiment.
     """
     # Imported here, not at module top: workers.py imports this module.
-    from repro.engine.workers import _WORKER_STATE, _init_worker, _run_item
-    _init_worker(*init_args)
-    sut_factory = _WORKER_STATE["sut_factory"]
-    classifier = _WORKER_STATE["classifier"]
-    prefix_cache = _WORKER_STATE.get("prefix_cache")
+    from repro.engine.workers import FamilyExecutor
+    executor = FamilyExecutor(*init_args)
     try:
         while True:
             try:
@@ -187,18 +189,21 @@ def _supervised_worker(conn, init_args: tuple) -> None:
             if message[0] == "stop":
                 return
             _, shard_id, items = message
-            batch_size = _WORKER_STATE.get("batch_size")
-            if batch_size and prefix_cache is not None:
-                _run_shard_batched(conn, shard_id, items, sut_factory,
-                                   classifier, prefix_cache, batch_size)
-            else:
-                for item in items:
+            for family, step in executor.steps(items):
+                if len(step) > 1:
+                    conn.send(("start", shard_id, step[0].index))
+                    results = executor.try_batch(family, step)
+                    if results is not None:
+                        for index, result in results:
+                            conn.send(("done_item", shard_id, index, result))
+                        continue
+                for item in step:
                     conn.send(("start", shard_id, item.index))
                     try:
-                        index, result = _run_item(item, sut_factory,
-                                                  classifier, prefix_cache)
+                        index, result = executor.run_item(family, item)
                         conn.send(("done_item", shard_id, index, result))
                     except Exception as exc:  # noqa: BLE001 - forwarded
+                        executor.reset()
                         conn.send(("error_item", shard_id, item.index,
                                    _sendable_error(exc)))
             conn.send(("done_shard", shard_id))
@@ -209,48 +214,6 @@ def _supervised_worker(conn, init_args: tuple) -> None:
             conn.close()
         except OSError:
             pass
-
-
-def _run_shard_batched(conn, shard_id: int, items, sut_factory, classifier,
-                       cache, batch_size: int) -> None:
-    """Batched lockstep variant of the shard loop, same message protocol.
-
-    Each family's lockstep batches are announced with one ``start`` (their
-    first lane): that lane is the parent's watchdog anchor and the crash/
-    timeout victim, and the remaining lanes are requeued innocent if the
-    worker dies — a retried lane re-runs as a singleton shard, i.e. scalar.
-    Any batch failure resets the worker's SUT state and falls back to the
-    scalar per-item loop for the whole family, so supervision accounting
-    (retries, quarantine) stays per experiment.
-    """
-    from repro.engine.workers import (
-        _reset_worker_state, _run_family_batched, _run_item,
-        batchable_spec, group_by_prefix, plan_family_batches)
-    for family in group_by_prefix(items, sut_token=cache.sut_token):
-        batches, scalar_items = plan_family_batches(family, batch_size,
-                                                    batchable_spec)
-        batched = None
-        if batches:
-            conn.send(("start", shard_id, batches[0][0].index))
-            try:
-                batched = _run_family_batched(batches, sut_factory,
-                                              classifier, cache)
-            except Exception:  # noqa: BLE001 - scalar rerun surfaces it
-                _reset_worker_state(sut_factory, cache)
-        if batched is None:
-            scalar_items = family.items
-        else:
-            for index, result in batched:
-                conn.send(("done_item", shard_id, index, result))
-        for item in scalar_items:
-            conn.send(("start", shard_id, item.index))
-            try:
-                index, result = _run_item(item, sut_factory, classifier,
-                                          cache)
-                conn.send(("done_item", shard_id, index, result))
-            except Exception as exc:  # noqa: BLE001 - forwarded to parent
-                conn.send(("error_item", shard_id, item.index,
-                           _sendable_error(exc)))
 
 
 class _Worker:

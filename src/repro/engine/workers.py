@@ -1,24 +1,24 @@
-"""Worker-pool execution of experiment specs.
+"""Execution of experiment specs: one family executor, two backends.
 
-Each worker process rebuilds the system under test from the spec plus its
-seed — exactly what :class:`~repro.core.experiment.Experiment` does in a
-sequential run — so a parallel campaign is bit-identical to the sequential
-one: the simulation is deterministic given the seed, and no state is shared
-between experiments. Workers receive *chunks* of
-:class:`~repro.engine.scheduler.WorkItem`\\ s and return ``(plan index,
-ExperimentResult)`` pairs; completion order is arbitrary, re-assembly by index
-happens in the parent.
+Each experiment's outcome is a pure function of its spec and seed, so a
+campaign may be executed in any order, in any process, and with any amount
+of shared state, as long as every record comes out byte-identical to running
+each spec on a freshly built system under test. :class:`FamilyExecutor` is
+the one place that exploits this: it groups the work queue into prefix
+families (:func:`~repro.engine.scheduler.group_by_prefix`) and decides from
+each family's shape how to run it. Results stream out as ``(plan index,
+ExperimentResult)`` pairs; re-assembly by index happens in the parent.
 
-Two backends share one streaming interface (an iterator of ``(index,
-result)``):
+Two backends drive the same executor:
 
 * :func:`execute_serial` — in-process, used for ``jobs=1`` (the default path
-  every existing ``Campaign.run`` caller goes through) and as the fallback
-  when the platform offers no usable multiprocessing start method;
+  every ``Campaign.run`` caller goes through) and as the fallback when the
+  platform offers no usable multiprocessing start method;
 * :func:`execute_pool` — the supervised worker pool
-  (:class:`~repro.engine.supervisor.SupervisedPool`), preferring the ``fork``
-  start method (cheap on Linux, and it lets custom ``sut_factory`` closures
-  cross into workers without pickling) and falling back to ``spawn``.
+  (:class:`~repro.engine.supervisor.SupervisedPool`), whose workers each run
+  an executor over the whole-family shards they receive. It prefers the
+  ``fork`` start method (cheap on Linux, and it lets custom ``sut_factory``
+  closures cross into workers without pickling) and falls back to ``spawn``.
 
 Both accept a :class:`~repro.engine.supervisor.RunPolicy`: per-experiment
 wall-clock timeouts, retry with exponential backoff, and poison-spec
@@ -35,9 +35,7 @@ import signal
 import sys
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import (
@@ -46,12 +44,10 @@ from repro.core.experiment import (
     SutFactory,
     default_sut_factory,
 )
-from repro.core.outcomes import OutcomeClassifier
+from repro.core.outcomes import Outcome, OutcomeClassifier
 from repro.core.registry import resolve_sut_factory
-from repro.core.outcomes import Outcome
 from repro.engine.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchDivergenceError,
+    BATCH_SIZE,
     BatchStepper,
     batchable_spec,
     supports_batching,
@@ -62,7 +58,6 @@ from repro.engine.scheduler import (
     group_by_prefix,
     plan_family_batches,
     shard_families,
-    shard_for_pool,
 )
 from repro.engine.supervisor import (
     LEGACY_POLICY,
@@ -75,15 +70,6 @@ from repro.errors import CampaignError
 
 #: One streamed unit of completed work: (position in the plan, its result).
 IndexedResult = Tuple[int, ExperimentResult]
-
-#: Default per-process capacity of the prefix-snapshot LRU. With the
-#: family-aware schedules each family is live for one contiguous stretch, so
-#: a handful of slots absorbs any interleaving the chunk merging introduces.
-DEFAULT_PREFIX_CACHE_SIZE = 8
-
-# Per-worker-process state, populated once by the pool initializer so chunk
-# payloads stay small (specs only, no factory/classifier per task).
-_WORKER_STATE: dict = {}
 
 
 class PooledSutFactory:
@@ -131,23 +117,13 @@ class PooledSutFactory:
         self._sut = None
 
 
-def _factory_for_spec(spec, sut_factory: SutFactory) -> SutFactory:
-    """Honour a spec's cold-boot opt-out when the factory pools."""
-    if isinstance(sut_factory, PooledSutFactory) and spec.cold_boot:
-        return sut_factory.base
-    return sut_factory
-
-
 def sut_token(sut_factory: SutFactory) -> str:
     """Deterministic identity of a SUT factory for prefix-key derivation.
 
     Registry-backed factories hash by key + params (stable across processes
     and runs); ad-hoc callables fall back to their qualified name. The token
-    only has to separate *different* SUT definitions within one process —
-    the prefix cache itself never outlives a campaign.
+    only has to separate *different* SUT definitions within one campaign.
     """
-    if isinstance(sut_factory, PooledSutFactory):
-        return sut_token(sut_factory.base)
     key = getattr(sut_factory, "key", None)
     if key is not None:
         params = getattr(sut_factory, "params", {})
@@ -156,123 +132,9 @@ def sut_token(sut_factory: SutFactory) -> str:
     return qualname or type(sut_factory).__name__
 
 
-@dataclass
-class _PrefixCacheEntry:
-    """One cached pre-injection state: the SUT it belongs to + its snapshot."""
-
-    sut: object
-    snapshot: object
-
-
-class PrefixSnapshotCache:
-    """Bounded per-process LRU of post-prefix SUT snapshots.
-
-    One entry per prefix family: the snapshot of the deployment at the
-    injection point, plus the SUT object graph it was captured on (snapshots
-    restore in place, so they are only valid on their own graph — with
-    pooling every entry shares the process's single SUT; without pooling
-    each miss builds its own). The campaign-level hit/miss aggregates come
-    from :attr:`ExperimentResult.prefix_cache_hit` (the cache lives inside
-    worker processes); the counters here are per-process introspection for
-    tests and debugging.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_PREFIX_CACHE_SIZE, *,
-                 sut_token: str = "",
-                 shareable_keys: Optional[frozenset] = None) -> None:
-        if capacity <= 0:
-            raise CampaignError(
-                f"prefix cache capacity must be positive, got {capacity}"
-            )
-        self.capacity = capacity
-        self.sut_token = sut_token
-        #: Keys whose family has more than one member. ``None`` means
-        #: unknown (cache everything); with the set present, singleton
-        #: families skip the snapshot capture entirely — a snapshot nobody
-        #: will ever fork from is pure overhead.
-        self.shareable_keys = shareable_keys
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bypasses = 0
-        self._entries: "OrderedDict[str, _PrefixCacheEntry]" = OrderedDict()
-
-    def worth_caching(self, key: str) -> bool:
-        return self.shareable_keys is None or key in self.shareable_keys
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> Optional[_PrefixCacheEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, sut: object, snapshot: object) -> None:
-        self._entries[key] = _PrefixCacheEntry(sut=sut, snapshot=snapshot)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def invalidate(self) -> None:
-        """Drop every entry (after an interrupted in-process experiment)."""
-        self._entries.clear()
-
-
-def _supports_prefix_forking(sut: object) -> bool:
+def _can_fork(sut: object) -> bool:
     return (getattr(sut, "snapshot", None) is not None
             and getattr(sut, "fork_from_snapshot", None) is not None)
-
-
-def _run_item_prefix_cached(experiment: Experiment,
-                            cache: PrefixSnapshotCache) -> ExperimentResult:
-    """Run one experiment through the prefix fast-forward cache.
-
-    Cache hit: fork the worker's SUT from the family's post-prefix snapshot
-    and run only the injection suffix. Cache miss: execute the prefix once,
-    snapshot it for the rest of the family, then run the suffix. SUTs that
-    cannot snapshot (baseline models) bypass the cache with a plain cold run.
-    """
-    spec = experiment.spec
-    started = time.perf_counter()
-    key = spec.prefix_key(sut=cache.sut_token)
-    entry = cache.get(key)
-    if entry is None:
-        sut = experiment.sut_factory(spec.seed)
-        if not _supports_prefix_forking(sut):
-            cache.misses -= 1           # not a real miss: the SUT can't cache
-            cache.bypasses += 1
-            try:
-                experiment.run_prefix(sut)
-                prefix_elapsed = time.perf_counter() - started
-                result = experiment.run_from_snapshot(sut, wall_start=started)
-                result.prefix_wall_time = prefix_elapsed
-                return result
-            finally:
-                sut.teardown()
-        hit = False
-    else:
-        sut = entry.sut
-        hit = True
-    try:
-        if hit:
-            sut.fork_from_snapshot(entry.snapshot, seed=spec.seed)
-        else:
-            experiment.run_prefix(sut)
-            if cache.worth_caching(key):
-                cache.put(key, sut, sut.snapshot())
-        prefix_elapsed = time.perf_counter() - started
-        result = experiment.run_from_snapshot(sut, wall_start=started)
-    finally:
-        sut.teardown()
-    result.prefix_cache_hit = hit
-    result.prefix_wall_time = prefix_elapsed
-    return result
 
 
 #: Per-process batch counter: batch ids must be unique campaign-wide even
@@ -286,181 +148,13 @@ def _next_batch_id(key: str) -> str:
     return f"{key[:8]}@{os.getpid()}#{_batch_sequence}"
 
 
-def _run_family_batched(batches: Sequence[Sequence[WorkItem]],
-                        sut_factory: SutFactory,
-                        classifier: OutcomeClassifier,
-                        cache: PrefixSnapshotCache,
-                        ) -> Optional[List[IndexedResult]]:
-    """Run one prefix family's batchable members in lockstep.
-
-    The family's golden bring-up runs (or is fetched from the prefix cache)
-    exactly once; every batch then forks the post-prefix snapshot and a
-    :class:`~repro.engine.batch.BatchStepper` advances its lanes on one
-    shared simulated state, evicting a lane to the scalar path the moment
-    its injector fires. Returns ``None`` when the SUT cannot snapshot/fork
-    (baseline models) — the caller runs the items scalar instead.
-    """
-    items = [item for batch in batches for item in batch]
-    spec0 = items[0].spec
-    started = time.perf_counter()
-    key = spec0.prefix_key(sut=cache.sut_token)
-    entry = cache.get(key)
-    if entry is None:
-        sut = sut_factory(spec0.seed)
-        if not _supports_prefix_forking(sut) or not supports_batching(sut):
-            cache.misses -= 1           # not a real miss: the SUT can't batch
-            cache.bypasses += 1
-            return None
-        hit = False
-    else:
-        sut = entry.sut
-        if not supports_batching(sut):
-            return None
-        hit = True
-    results: List[IndexedResult] = []
-    worker_id = os.getpid()
-    try:
-        if hit:
-            snapshot = entry.snapshot
-        else:
-            Experiment(spec0, sut_factory=sut_factory,
-                       classifier=classifier).run_prefix(sut)
-            snapshot = sut.snapshot()
-            if cache.worth_caching(key):
-                cache.put(key, sut, snapshot)
-        prefix_elapsed = time.perf_counter() - started
-        first = True
-        for batch in batches:
-            fork_started = time.perf_counter()
-            sut.fork_from_snapshot(snapshot, seed=spec0.seed)
-            fork_elapsed = time.perf_counter() - fork_started
-            stepper = BatchStepper(
-                sut,
-                [Experiment(item.spec, sut_factory=sut_factory,
-                            classifier=classifier) for item in batch],
-                batch_id=_next_batch_id(key),
-            )
-            for item, result in zip(batch, stepper.run()):
-                # Mirror the scalar bookkeeping: the lane that executed the
-                # family's prefix reports a miss, every forked lane a hit.
-                result.prefix_cache_hit = hit or not first
-                result.prefix_wall_time = (prefix_elapsed
-                                           if not hit and first
-                                           else fork_elapsed)
-                result.worker_id = worker_id
-                first = False
-                results.append((item.index, result))
-    finally:
-        sut.teardown()
-    return results
-
-
-def shareable_keys_of(families) -> frozenset:
-    """Prefix keys that more than one queued spec shares.
-
-    Only these are worth snapshotting: a singleton family's snapshot would
-    never be forked from, so capturing it (and pinning its SUT in the LRU)
-    is pure overhead — e.g. the CLI ``fig3``/``campaign`` plans give every
-    spec its own seed, making every family a singleton.
-    """
-    return frozenset(family.key for family in families
-                     if len(family.items) > 1)
-
-
-def _init_worker(sut_factory: SutFactory,
-                 classifier: Optional[OutcomeClassifier],
-                 pooling: bool = False,
-                 prefix_cache: bool = False,
-                 prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
-                 shareable_keys: Optional[frozenset] = None,
-                 batch: bool = False,
-                 batch_size: Optional[int] = None) -> None:
-    if pooling:
-        sut_factory = PooledSutFactory(sut_factory)
-    _WORKER_STATE["sut_factory"] = sut_factory
-    _WORKER_STATE["classifier"] = classifier or OutcomeClassifier()
-    _WORKER_STATE["prefix_cache"] = (
-        PrefixSnapshotCache(prefix_cache_size,
-                            sut_token=sut_token(sut_factory),
-                            shareable_keys=shareable_keys)
-        if prefix_cache else None
-    )
-    _WORKER_STATE["batch_size"] = (
-        (batch_size or DEFAULT_BATCH_SIZE) if batch and prefix_cache else None
-    )
-
-
-def _run_item(item: WorkItem, sut_factory: SutFactory,
-              classifier: OutcomeClassifier,
-              prefix_cache: Optional[PrefixSnapshotCache] = None,
-              ) -> IndexedResult:
-    experiment = Experiment(item.spec,
-                            sut_factory=_factory_for_spec(item.spec, sut_factory),
-                            classifier=classifier)
-    if prefix_cache is None or item.spec.cold_boot:
-        result = experiment.run()
-    else:
-        result = _run_item_prefix_cached(experiment, prefix_cache)
-    # Stamped here (not in Experiment) so the id is the executing process's —
-    # the telemetry layer folds these into per-worker utilization.
-    result.worker_id = os.getpid()
-    return item.index, result
-
-
-def _run_chunk(chunk: Sequence[WorkItem]) -> List[IndexedResult]:
-    """Pool task: run one chunk inside a worker process."""
-    sut_factory = _WORKER_STATE["sut_factory"]
-    classifier = _WORKER_STATE["classifier"]
-    prefix_cache = _WORKER_STATE.get("prefix_cache")
-    batch_size = _WORKER_STATE.get("batch_size")
-    if batch_size and prefix_cache is not None:
-        return _run_chunk_batched(chunk, sut_factory, classifier,
-                                  prefix_cache, batch_size)
-    return [_run_item(item, sut_factory, classifier, prefix_cache)
-            for item in chunk]
-
-
-def _run_chunk_batched(chunk: Sequence[WorkItem],
-                       sut_factory: SutFactory,
-                       classifier: OutcomeClassifier,
-                       cache: PrefixSnapshotCache,
-                       batch_size: int) -> List[IndexedResult]:
-    """Pool task with lockstep batching: regroup the chunk into families.
-
-    ``shard_families`` already hands out family-contiguous chunks, so the
-    regrouping is a cheap pass; each family's batchable members run through
-    :func:`_run_family_batched` and everything else (lifecycle/park
-    scenarios, cold boots, singleton leftovers) takes the scalar path. A
-    violated lockstep invariant falls back to scalar for the whole family —
-    correctness never depends on the batch succeeding.
-    """
-    results: List[IndexedResult] = []
-    for family in group_by_prefix(chunk, sut_token=cache.sut_token):
-        batches, scalar_items = plan_family_batches(
-            family, batch_size, batchable_spec)
-        batched = None
-        if batches:
-            try:
-                batched = _run_family_batched(batches, sut_factory,
-                                              classifier, cache)
-            except BatchDivergenceError:
-                _reset_worker_state(sut_factory, cache)
-        if batched is None:
-            scalar_items = family.items
-        else:
-            results.extend(batched)
-        for item in scalar_items:
-            results.append(_run_item(item, sut_factory, classifier, cache))
-    return results
-
-
 class _SerialTimeout(Exception):
     """Raised by the SIGALRM watchdog inside an in-process experiment."""
 
 
 @contextmanager
 def _serial_deadline(timeout_s: Optional[float]):
-    """Arm a wall-clock deadline around one in-process experiment.
+    """Arm a wall-clock deadline around in-process work.
 
     Uses ``SIGALRM`` (interrupts CPU-bound pure-Python loops, which is what a
     wedged simulation is), so it only works on the main thread of a platform
@@ -485,23 +179,169 @@ def _serial_deadline(timeout_s: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+class FamilyExecutor:
+    """Runs a work queue prefix family by prefix family, in one process.
+
+    The serial backend and every pool worker run their items through this
+    one object. It keeps the process's pooled system under test
+    (:class:`PooledSutFactory`) and, while a family runs, that family's
+    post-prefix snapshot, and it picks the cheapest exact way to run each
+    family:
+
+    * a singleton family runs as a plain :meth:`Experiment.run`, leaving
+      ``prefix_cache_hit`` as ``None``;
+    * a larger family runs its pre-injection prefix once and forks every
+      other member from the snapshot (``prefix_cache_hit`` ``False`` for the
+      member that ran the prefix, ``True`` for the forks);
+    * two or more steady-state members step in lockstep on one shared
+      simulation (:class:`~repro.engine.batch.BatchStepper`), at most
+      :data:`~repro.engine.batch.BATCH_SIZE` lanes per batch.
+
+    ``cold_boot`` specs opt out of all three: they build their own SUT and
+    form singleton families. Supervision stays with the backends, which run
+    each step of :meth:`steps` under their own policy.
+    """
+
+    def __init__(self, sut_factory: "SutFactory | str",
+                 classifier: Optional[OutcomeClassifier] = None) -> None:
+        base = resolve_sut_factory(sut_factory)
+        self.sut_factory = PooledSutFactory(base)
+        self.classifier = classifier or OutcomeClassifier()
+        self.sut_token = sut_token(base)
+        #: The running family's (SUT, post-prefix snapshot), once captured.
+        #: Every schedule runs a family contiguously, so one slot suffices.
+        self._shared: Optional[Tuple[object, object]] = None
+
+    def steps(self, items: Sequence[WorkItem]
+              ) -> Iterator[Tuple[PrefixFamily, List[WorkItem]]]:
+        """The queue as ``(family, step)`` pairs, one family at a time.
+
+        A step of two or more items is one lockstep batch
+        (:meth:`try_batch`), a step of one item runs scalar
+        (:meth:`run_item`). A family's snapshot is dropped as soon as its
+        last step has been taken.
+        """
+        for family in group_by_prefix(items, sut_token=self.sut_token):
+            batches, scalar = plan_family_batches(family, BATCH_SIZE,
+                                                  batchable_spec)
+            for step in batches + [[item] for item in scalar]:
+                yield family, step
+            self._shared = None
+
+    def reset(self) -> None:
+        """Scrub process state after an interrupted or failed step."""
+        self.sut_factory.reset()
+        self._shared = None
+
+    def _experiment(self, spec) -> Experiment:
+        factory = self.sut_factory.base if spec.cold_boot else self.sut_factory
+        return Experiment(spec, sut_factory=factory,
+                          classifier=self.classifier)
+
+    def run_item(self, family: PrefixFamily, item: WorkItem) -> IndexedResult:
+        """Run one member of ``family`` scalar."""
+        experiment = self._experiment(item.spec)
+        if len(family) < 2:
+            result = experiment.run()
+        else:
+            result = self._run_member(experiment)
+        # Stamped here (not in Experiment) so the id is the executing
+        # process's — the telemetry layer folds these into per-worker
+        # utilization.
+        result.worker_id = os.getpid()
+        return item.index, result
+
+    def _run_member(self, experiment: Experiment) -> ExperimentResult:
+        """Fork from the family snapshot, or run the prefix and capture it.
+
+        SUTs that cannot snapshot (baseline models) run every member cold,
+        with ``prefix_cache_hit`` left ``None``.
+        """
+        spec = experiment.spec
+        started = time.perf_counter()
+        hit = None
+        if self._shared is None:
+            sut = experiment.sut_factory(spec.seed)
+        else:
+            sut, snapshot = self._shared
+            hit = True
+        try:
+            if hit:
+                sut.fork_from_snapshot(snapshot, seed=spec.seed)
+            else:
+                experiment.run_prefix(sut)
+                if _can_fork(sut):
+                    self._shared = (sut, sut.snapshot())
+                    hit = False
+            prefix_elapsed = time.perf_counter() - started
+            result = experiment.run_from_snapshot(sut, wall_start=started)
+        finally:
+            sut.teardown()
+        result.prefix_cache_hit = hit
+        result.prefix_wall_time = prefix_elapsed
+        return result
+
+    def try_batch(self, family: PrefixFamily, batch: Sequence[WorkItem],
+                  timeout_s: Optional[float] = None,
+                  ) -> Optional[List[IndexedResult]]:
+        """Step ``batch`` in lockstep; ``None`` means run its members scalar.
+
+        That happens when the SUT cannot fork or batch, and after any
+        failure of the batch — a violated lockstep invariant, the
+        ``timeout_s`` deadline, an error — once process state is reset. The
+        scalar re-run is where per-item supervision applies, and where a
+        real error surfaces again.
+        """
+        try:
+            with _serial_deadline(timeout_s):
+                return self._run_batch(family, batch)
+        except Exception:  # noqa: BLE001 - the scalar re-run surfaces it
+            self.reset()
+            return None
+
+    def _run_batch(self, family: PrefixFamily, batch: Sequence[WorkItem],
+                   ) -> Optional[List[IndexedResult]]:
+        experiments = [self._experiment(item.spec) for item in batch]
+        first = experiments[0]
+        started = time.perf_counter()
+        hit = self._shared is not None
+        if hit:
+            sut, snapshot = self._shared
+        else:
+            sut = self.sut_factory(first.spec.seed)
+        if not (_can_fork(sut) and supports_batching(sut)):
+            return None
+        try:
+            if not hit:
+                first.run_prefix(sut)
+                snapshot = sut.snapshot()
+                self._shared = (sut, snapshot)
+            prefix_elapsed = time.perf_counter() - started
+            fork_started = time.perf_counter()
+            sut.fork_from_snapshot(snapshot, seed=first.spec.seed)
+            fork_elapsed = time.perf_counter() - fork_started
+            results = BatchStepper(sut, experiments,
+                                   batch_id=_next_batch_id(family.key)).run()
+        finally:
+            sut.teardown()
+        worker_id = os.getpid()
+        for lane, result in enumerate(results):
+            # Mirror the scalar bookkeeping: the lane that executed the
+            # family's prefix reports a miss, every forked lane a hit.
+            miss = lane == 0 and not hit
+            result.prefix_cache_hit = not miss
+            result.prefix_wall_time = prefix_elapsed if miss else fork_elapsed
+            result.worker_id = worker_id
+        return [(item.index, result) for item, result in zip(batch, results)]
+
+
 def _emit(on_event: Optional[EventCallback], kind: str, **payload) -> None:
     if on_event is not None:
         on_event(kind, **payload)
 
 
-def _reset_worker_state(sut_factory, cache) -> None:
-    """Scrub in-process execution state after an interrupted experiment."""
-    if isinstance(sut_factory, PooledSutFactory):
-        sut_factory.reset()
-    if cache is not None:
-        cache.invalidate()
-
-
-def _run_item_with_policy(item: WorkItem, sut_factory: SutFactory,
-                          classifier: OutcomeClassifier,
-                          cache: Optional[PrefixSnapshotCache],
-                          policy: RunPolicy,
+def _run_item_with_policy(executor: FamilyExecutor, family: PrefixFamily,
+                          item: WorkItem, policy: RunPolicy,
                           on_event: Optional[EventCallback]) -> IndexedResult:
     """Serial counterpart of the pool's supervision: timeout/retry/quarantine.
 
@@ -515,7 +355,7 @@ def _run_item_with_policy(item: WorkItem, sut_factory: SutFactory,
         attempts += 1
         try:
             with _serial_deadline(policy.timeout_s):
-                return _run_item(item, sut_factory, classifier, cache)
+                return executor.run_item(family, item)
         except _SerialTimeout:
             reason = "timeout"
             error = (f"exceeded the {policy.timeout_s:g}s watchdog timeout "
@@ -528,7 +368,7 @@ def _run_item_with_policy(item: WorkItem, sut_factory: SutFactory,
                 raise
             reason = "error"
             error = f"{type(exc).__name__}: {exc}"
-        _reset_worker_state(sut_factory, cache)
+        executor.reset()
         if attempts <= policy.retries:
             delay = min(policy.backoff_s * (2 ** (attempts - 1)),
                         policy.backoff_cap_s)
@@ -570,110 +410,42 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("spawn")
 
 
-def _serial_family_batched(family: PrefixFamily,
-                           sut_factory: SutFactory,
-                           classifier: OutcomeClassifier,
-                           cache: PrefixSnapshotCache,
-                           batch_size: int,
-                           policy: Optional[RunPolicy],
-                           on_event: Optional[EventCallback],
-                           ) -> Iterator[IndexedResult]:
-    """Serial flavour of one family's lockstep execution, supervised.
-
-    A lockstep batch does the work of all its lanes in one pass, so the
-    serial deadline covers the whole family at ``timeout_s`` per lane; a
-    timeout, a divergence, or (under a policy) any error resets the worker
-    state and re-runs the family item by item through the ordinary
-    supervised scalar path — retries and quarantine semantics included.
-    """
-    batches, scalar_items = plan_family_batches(family, batch_size,
-                                                batchable_spec)
-    batched = None
-    if batches:
-        lanes = sum(len(batch) for batch in batches)
-        try:
-            if policy is not None and policy.timeout_s:
-                with _serial_deadline(policy.timeout_s * lanes):
-                    batched = _run_family_batched(batches, sut_factory,
-                                                  classifier, cache)
-            else:
-                batched = _run_family_batched(batches, sut_factory,
-                                              classifier, cache)
-        except (BatchDivergenceError, _SerialTimeout):
-            _reset_worker_state(sut_factory, cache)
-        except Exception:  # noqa: BLE001 - policy decides the fate
-            if policy is None:
-                raise
-            _reset_worker_state(sut_factory, cache)
-    if batched is None:
-        scalar_items = family.items
-    else:
-        yield from batched
-    for item in scalar_items:
-        if policy is None:
-            yield _run_item(item, sut_factory, classifier, cache)
-        else:
-            yield _run_item_with_policy(item, sut_factory, classifier, cache,
-                                        policy, on_event)
-
-
 def execute_serial(items: Sequence[WorkItem],
                    sut_factory: "SutFactory | str" = default_sut_factory,
                    classifier: Optional[OutcomeClassifier] = None,
-                   pooling: bool = False,
-                   prefix_cache: bool = False,
-                   prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
                    policy: Optional[RunPolicy] = None,
                    on_event: Optional[EventCallback] = None,
-                   batch: bool = False,
-                   batch_size: Optional[int] = None,
                    ) -> Iterator[IndexedResult]:
-    """Run every item in queue order in this process (the ``jobs=1`` backend).
+    """Run every item in this process (the ``jobs=1`` backend).
 
-    With ``prefix_cache`` the queue is first reordered family-contiguously
-    (results carry their plan index, so consumers are order-agnostic) and a
-    bounded LRU of post-prefix snapshots serves every follow-up member of a
-    family without re-running its golden bring-up.
-
-    With ``batch`` (implies ``prefix_cache``) each family's steady-state
-    members additionally run in lockstep on one shared simulated state
-    (:mod:`repro.engine.batch`), paying per-lane simulation cost only for
-    lanes whose fault actually fires.
+    The queue runs family-contiguously through a :class:`FamilyExecutor`
+    (results carry their plan index, so consumers are order-agnostic).
 
     A ``policy`` adds the serial flavour of supervision: a ``SIGALRM``
     deadline per experiment, retries with backoff, and quarantine with
-    synthesized infrastructure results. ``None`` keeps the historical
-    contract — exceptions propagate, nothing times out.
+    synthesized infrastructure results. A lockstep batch does the work of
+    all its lanes in one pass, so its deadline is ``timeout_s`` per lane; a
+    batch that fails re-runs its members through that per-item supervision.
+    ``None`` keeps the historical contract — exceptions propagate, nothing
+    times out.
     """
-    classifier = classifier or OutcomeClassifier()
-    sut_factory = resolve_sut_factory(sut_factory)
-    prefix_cache = prefix_cache or batch
-    if pooling:
-        sut_factory = PooledSutFactory(sut_factory)
-    cache = None
-    families = None
-    if prefix_cache:
-        token = sut_token(sut_factory)
-        families = group_by_prefix(items, sut_token=token)
-        cache = PrefixSnapshotCache(
-            prefix_cache_size, sut_token=token,
-            shareable_keys=shareable_keys_of(families))
-        items = [item for family in families for item in family.items]
+    executor = FamilyExecutor(sut_factory, classifier)
     if policy is not None:
         policy.validate()
-    if batch and families is not None:
-        size = batch_size or DEFAULT_BATCH_SIZE
-        for family in families:
-            yield from _serial_family_batched(family, sut_factory, classifier,
-                                              cache, size, policy, on_event)
-        return
-    if policy is None:
-        for item in items:
-            yield _run_item(item, sut_factory, classifier, cache)
-        return
-    for item in items:
-        yield _run_item_with_policy(item, sut_factory, classifier, cache,
-                                    policy, on_event)
+    for family, step in executor.steps(items):
+        if len(step) > 1:
+            timeout_s = (policy.timeout_s * len(step)
+                         if policy is not None and policy.timeout_s else None)
+            results = executor.try_batch(family, step, timeout_s)
+            if results is not None:
+                yield from results
+                continue
+        for item in step:
+            if policy is None:
+                yield executor.run_item(family, item)
+            else:
+                yield _run_item_with_policy(executor, family, item, policy,
+                                            on_event)
 
 
 def execute_pool(items: Sequence[WorkItem],
@@ -681,13 +453,8 @@ def execute_pool(items: Sequence[WorkItem],
                  sut_factory: "SutFactory | str" = default_sut_factory,
                  classifier: Optional[OutcomeClassifier] = None,
                  chunk_size: Optional[int] = None,
-                 pooling: bool = False,
-                 prefix_cache: bool = False,
-                 prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
                  policy: Optional[RunPolicy] = None,
                  on_event: Optional[EventCallback] = None,
-                 batch: bool = False,
-                 batch_size: Optional[int] = None,
                  ) -> Iterator[IndexedResult]:
     """Run items across ``jobs`` supervised worker processes, streaming.
 
@@ -708,50 +475,33 @@ def execute_pool(items: Sequence[WorkItem],
     semaphores are left for the resource tracker to complain about — every
     worker's pipe dies with its two endpoints).
 
-    ``chunk_size`` defaults to 1: every completed experiment streams back (and
-    checkpoints) immediately, which is what the paper's minute-long tests
-    need. Pass a larger value (see
-    :func:`~repro.engine.scheduler.suggest_chunk_size`) only when experiments
-    are so short that per-task dispatch overhead dominates.
-
-    With ``prefix_cache`` the queue is sharded into whole prefix families
-    (:func:`~repro.engine.scheduler.shard_families`) instead of round-robin
-    chunks, so the worker that pulls a family pays its golden bring-up once
-    and forks every fault variant from the snapshot. A family is one pool
-    task, so streaming (and checkpoint) granularity becomes the family even
-    at ``chunk_size=1`` — a run killed mid-family re-executes that family's
-    completed variants on resume, trading a little checkpoint granularity
-    for never re-paying a prefix. A retried spec re-runs as a singleton
-    shard, re-paying its prefix once.
+    The queue is sharded into whole prefix families
+    (:func:`~repro.engine.scheduler.shard_families`), so the worker that
+    pulls a family pays its prefix once and runs it through its own
+    :class:`FamilyExecutor`. ``chunk_size`` (default 1) merges consecutive
+    small families into one task until it holds that many experiments; pass
+    a larger value (see :func:`~repro.engine.scheduler.suggest_chunk_size`)
+    only when experiments are so short that per-task dispatch overhead
+    dominates. A family is one task, so streaming (and checkpoint)
+    granularity is the family — a run killed mid-family re-executes that
+    family's completed members on resume. A retried spec re-runs as a
+    singleton shard.
     """
     jobs = resolve_jobs(jobs)
     sut_factory = resolve_sut_factory(sut_factory)
-    prefix_cache = prefix_cache or batch
     if jobs == 1 or len(items) <= 1:
-        yield from execute_serial(items, sut_factory, classifier, pooling,
-                                  prefix_cache, prefix_cache_size,
-                                  policy=policy, on_event=on_event,
-                                  batch=batch, batch_size=batch_size)
+        yield from execute_serial(items, sut_factory, classifier,
+                                  policy=policy, on_event=on_event)
         return
-    size = chunk_size or 1
-    shareable = None
-    if prefix_cache:
-        token = sut_token(sut_factory)
-        families = group_by_prefix(items, sut_token=token)
-        # min_shards keeps the pool busy when there are fewer families than
-        # workers: oversized families are sliced, each slice re-paying the
-        # prefix once in its worker.
-        shards = shard_families(families, size, min_shards=jobs)
-        shareable = shareable_keys_of(families)
-    else:
-        shards = shard_for_pool(items, size)
+    families = group_by_prefix(items, sut_token=sut_token(sut_factory))
+    # min_shards keeps the pool busy when there are fewer families than
+    # workers: oversized families are sliced, each slice re-paying the
+    # prefix once in its worker.
     pool = SupervisedPool(
-        shards,
+        shard_families(families, chunk_size or 1, min_shards=jobs),
         jobs=jobs,
         context=_pool_context(),
-        init_args=(sut_factory, classifier, pooling,
-                   prefix_cache, prefix_cache_size, shareable,
-                   batch, batch_size),
+        init_args=(sut_factory, classifier),
         policy=policy or LEGACY_POLICY,
         on_event=on_event,
     )

@@ -2,7 +2,9 @@
 
 Every error raised by the simulated board, the hypervisor model, the guest
 models, and the fault-injection framework derives from :class:`ReproError` so
-callers can distinguish library failures from programming errors.
+callers can distinguish library failures from programming errors. The CLI
+reports any of them as one ``error:`` line and exits with the class's
+:attr:`~ReproError.exit_code`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
+
+    #: Process exit status ``repro-fi`` returns for this error: 2 for usage
+    #: errors (bad keys, configs, protocol versions, checker misuse), 1 for
+    #: everything else.
+    exit_code = 1
 
 
 class HardwareError(ReproError):
@@ -112,9 +119,13 @@ class TargetError(InjectionError):
 class RegistryError(InjectionError):
     """A plugin registry lookup or registration failed (unknown/duplicate key)."""
 
+    exit_code = 2
+
 
 class CampaignConfigError(CampaignError):
     """A declarative campaign configuration is malformed or unloadable."""
+
+    exit_code = 2
 
 
 class AnalysisError(ReproError):
@@ -145,6 +156,8 @@ class FleetError(ReproError):
 
 class FleetProtocolError(FleetError):
     """A ``repro-fleet/v1`` message was malformed or version-mismatched."""
+
+    exit_code = 2
 
 
 class FleetUnavailableError(FleetError):
@@ -178,6 +191,8 @@ class CheckError(ReproError):
     root that cannot be loaded. Findings are *not* errors — they are the
     checker's normal output; this class covers misuse of the tool itself.
     """
+
+    exit_code = 2
 
 
 class ObservabilityError(ReproError):

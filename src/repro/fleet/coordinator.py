@@ -4,7 +4,7 @@ One long-running coordinator accepts :class:`~repro.core.config.
 CampaignConfig` submissions, shards each compiled plan into lease units
 keyed on :meth:`~repro.core.experiment.ExperimentSpec.identity`
 (:func:`~repro.engine.scheduler.plan_shards` — whole prefix families, so
-worker-side ``--prefix-cache``/``--batch`` stay effective), and leases the
+each worker's engine still forks and batches whole families), and leases the
 shards to worker agents over the ``repro-fleet/v1`` protocol. Results merge
 back idempotently, deduplicated by spec identity.
 
@@ -323,9 +323,6 @@ class FleetCoordinator:
             "heartbeat_interval_s": self.heartbeat_interval_s,
             # Engine options the config carries; worker-side flags override.
             "engine": {
-                "prefix_cache": config.prefix_cache,
-                "batch": config.batch,
-                "batch_size": config.batch_size,
                 "chunk_size": config.chunk_size,
                 "timeout_s": config.timeout_s,
                 "retries": config.retries,

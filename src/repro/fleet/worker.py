@@ -2,10 +2,10 @@
 
 A worker agent joins a coordinator, pulls shard leases, runs each shard
 through the exact same :class:`~repro.engine.runner.CampaignEngine` a
-single-host campaign uses (``--jobs``, ``--pooling``, ``--prefix-cache``,
-``--batch``, ``--timeout``, ``--retries`` all compose unchanged — the fleet
-adds a layer *above* the engine, not a different engine), and submits the
-resulting records back. Because leases carry the campaign's declarative
+single-host campaign uses (``--jobs``, ``--chunk-size``, ``--timeout``,
+``--retries`` all compose unchanged — the fleet adds a layer *above* the
+engine, not a different engine), and submits the resulting records back.
+Because leases carry the campaign's declarative
 config dict and the compiled plan is deterministic, every worker derives the
 exact same spec identities from the same wire bytes — that is what makes
 idempotent, identity-keyed result merging possible.
@@ -74,10 +74,6 @@ class FleetWorkerAgent:
     def __init__(self, base_url: str, *,
                  host: Optional[str] = None,
                  jobs: int = 1,
-                 pooling: bool = False,
-                 prefix_cache: Optional[bool] = None,
-                 batch: Optional[bool] = None,
-                 batch_size: Optional[int] = None,
                  chunk_size: "int | str | None" = None,
                  timeout_s: Optional[float] = None,
                  retries: Optional[int] = None,
@@ -92,10 +88,6 @@ class FleetWorkerAgent:
         self.client = client if client is not None else FleetClient(base_url)
         self.host = host or default_host_name()
         self.jobs = jobs
-        self.pooling = pooling
-        self.prefix_cache = prefix_cache
-        self.batch = batch
-        self.batch_size = batch_size
         self.chunk_size = chunk_size
         self.timeout_s = timeout_s
         self.retries = retries
@@ -233,12 +225,6 @@ class FleetWorkerAgent:
                 jobs=self.jobs,
                 sut_factory=config.sut_factory(override=self.sut),
                 classifier=config.build_classifier(),
-                pooling=self.pooling,
-                prefix_cache=self._pick(self.prefix_cache,
-                                        bool(engine_opts.get("prefix_cache"))),
-                batch=self._pick(self.batch, bool(engine_opts.get("batch"))),
-                batch_size=self._pick(self.batch_size,
-                                      engine_opts.get("batch_size")),
                 chunk_size=self._pick(self.chunk_size,
                                       engine_opts.get("chunk_size")),
                 timeout_s=self._pick(self.timeout_s,

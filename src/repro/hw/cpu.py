@@ -49,7 +49,7 @@ class ParkRecord:
     Frozen: :meth:`CpuCore.snapshot_state` shallow-copies the park history,
     so a mutable record would alias between a live core and its snapshots —
     a post-snapshot mutation would silently rewrite history inside every
-    snapshot holding the record (and, through the prefix cache, inside every
+    snapshot holding the record (and, through a prefix fork, inside every
     experiment forked from it).
     """
 

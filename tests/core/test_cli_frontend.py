@@ -1,5 +1,8 @@
 """Tests for the repro-fi command-line front-end."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,16 @@ from repro.cli import build_parser, main
 from repro.core.recording import RecordStore
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: A config whose fault-model axis fans each seed into a two-member family.
+FAMILY_CONFIG = (
+    '[campaign]\nname = "family"\nintensity = "medium"\n'
+    'tests = 1\nduration = 1.0\n'
+    '[[target]]\nkind = "nonroot-trap"\n'
+    '[[fault_model]]\nkind = "single-bit-flip"\n'
+    '[[fault_model]]\nkind = "multi-register-bit-flip"\n'
+)
 
 
 def run_cli(capsys, *argv):
@@ -304,32 +317,32 @@ class TestRunAndList:
 
 
 class TestPrefixCacheAndChunkSizeFlags:
-    def test_prefix_cache_flag_reports_counters(self, capsys):
-        code, out, err = run_cli(
-            capsys, "campaign", "--tests", "2", "--duration", "2",
-            "--prefix-cache",
-        )
+    def test_prefix_cache_flag_reports_counters(self, capsys, tmp_path):
+        # The counters print whenever a family forked from a snapshot.
+        config = tmp_path / "family.toml"
+        config.write_text(FAMILY_CONFIG)
+        code, out, err = run_cli(capsys, "run", str(config))
         assert code == 0
         # Diagnostics live on stderr so stdout stays pipeable.
-        assert "prefix cache:" in err
-        assert "misses" in err
+        assert "prefix cache: 1 hits / 1 misses" in err
         assert "prefix cache:" not in out
-
-    def test_no_prefix_cache_overrides_a_config_that_enables_it(
-            self, capsys, tmp_path):
-        config = tmp_path / "cached.toml"
-        config.write_text(
-            '[campaign]\nname = "cached"\nintensity = "medium"\n'
-            'tests = 2\nduration = 2.0\nprefix_cache = true\n'
-            '[[target]]\nkind = "nonroot-trap"\n'
-        )
-        code, _, err = run_cli(capsys, "run", str(config))
-        assert code == 0
-        assert "prefix cache:" in err
-        code, _, err = run_cli(capsys, "run", str(config),
-                               "--no-prefix-cache")
+        # Singleton families run plain: nothing forked, nothing to report.
+        code, _, err = run_cli(capsys, "campaign", "--tests", "2",
+                               "--duration", "2")
         assert code == 0
         assert "prefix cache:" not in err
+
+    @pytest.mark.parametrize("line", ["prefix_cache = true", "batch = true",
+                                      "batch_size = 4"],
+                             ids=["prefix_cache", "batch", "batch_size"])
+    def test_removed_engine_keys_are_unknown_config_keys(
+            self, capsys, tmp_path, line):
+        config = tmp_path / "removed.toml"
+        config.write_text(FAMILY_CONFIG.replace(
+            "duration = 1.0\n", f"duration = 1.0\n{line}\n"))
+        code, _, err = run_cli(capsys, "run", str(config))
+        assert code == 2
+        assert "unknown [campaign] key(s)" in err
 
     def test_chunk_size_accepts_auto_and_integers(self, capsys):
         for value in ("auto", "2"):
@@ -536,3 +549,21 @@ class TestTailLines:
         # file's first line.
         assert next(stream) == "fresh"
         stream.close()
+
+
+class TestErrorFunnel:
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--tests", "0"],
+        ["fig3", "--tests", "1", "--duration", "1", "--jobs", "-3"],
+        ["fig3", "--tests", "1", "--duration", "1", "--timeout", "-1"],
+    ])
+    def test_invalid_engine_arguments_exit_without_a_traceback(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                   env=env, capture_output=True, text=True,
+                                   timeout=120)
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

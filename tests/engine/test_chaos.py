@@ -25,8 +25,24 @@ import pytest
 from repro.core.campaign import Campaign
 from repro.core.plan import paper_figure3_plan
 from repro.core.recording import ExperimentRecord, RecordStore
-from repro.core.registry import RegistrySutFactory
+from repro.core.sut import JailhouseSUT, SutConfig
 from repro.engine.runner import CampaignEngine
+
+
+class ChaosSut(JailhouseSUT):
+    """The paper's deployment, striking chaos at every experiment's setup.
+
+    ``setup()`` opens every experiment whether the engine reuses a pooled
+    SUT or builds a fresh one, so the fault fires where the experiment runs.
+    """
+
+    def __init__(self, seed, factory):
+        super().__init__(SutConfig(seed=seed))
+        self.factory = factory
+
+    def setup(self):
+        self.factory.strike(self.config.seed)
+        super().setup()
 
 
 class ChaosFactory:
@@ -40,7 +56,6 @@ class ChaosFactory:
 
     def __init__(self, token_dir):
         self.token_dir = str(token_dir)
-        self.base = RegistrySutFactory("jailhouse")
 
     def _claim(self, name: str) -> bool:
         try:
@@ -50,11 +65,13 @@ class ChaosFactory:
             return False
 
     def __call__(self, seed):
+        return ChaosSut(seed, self)
+
+    def strike(self, seed):
         if self._claim(f"kill-{seed}"):
             os.kill(os.getpid(), signal.SIGKILL)
         if self._claim(f"hang-{seed}"):
             time.sleep(300)
-        return self.base(seed)
 
 
 def record_lines(results):

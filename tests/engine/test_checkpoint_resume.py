@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.experiment import default_sut_factory
 from repro.core.plan import TestPlan, paper_figure3_plan
 from repro.core.recording import RecordStore
 from repro.engine import CampaignEngine, Checkpoint
@@ -48,18 +47,14 @@ class TestResume:
         path = tmp_path / "run.jsonl"
         interrupted_run(plan, path, upto=4)
 
-        executed_seeds = []
-
-        def counting_factory(seed):
-            executed_seeds.append(seed)
-            return default_sut_factory(seed)
-
         resumed = CampaignEngine(
             plan, jobs=1, checkpoint_path=str(path), resume=True,
-            sut_factory=counting_factory,
         ).run()
-        # Only the two missing specs ran; results still cover the whole plan
-        # in order and match the never-interrupted sequential run.
+        # Only the two missing specs ran (restored results carry no worker
+        # id); results still cover the whole plan in order and match the
+        # never-interrupted sequential run.
+        executed_seeds = [result.seed for result in resumed.results
+                          if result.worker_id is not None]
         assert executed_seeds == [spec.seed for spec in list(plan.specs)[4:]]
         assert len(resumed.results) == len(plan)
         assert [r.outcome for r in resumed.results] == \

@@ -1,20 +1,24 @@
-"""Prefix fast-forward: parity, families, LRU behaviour, opt-outs.
+"""Prefix fast-forward: parity, families, snapshot lifetime, opt-outs.
 
-The contract of the subsystem is absolute: a campaign run with the prefix
-cache on must be record-for-record identical to cold execution — the cache
-may only change *when* the golden bring-up executes, never what any
-experiment observes.
+The contract is absolute: a campaign whose prefix families fork from one
+snapshot must be record-for-record identical to the per-spec cold reference
+— forking may only change *when* the golden bring-up executes, never what
+any experiment observes.
 """
 
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig, PartRef, catalog_config
-from repro.core.experiment import ExperimentSpec, Scenario, SingleBitFlip
+from repro.core.experiment import (
+    ExperimentSpec,
+    Scenario,
+    SingleBitFlip,
+    default_sut_factory,
+)
 from repro.core.plan import TestPlan, paper_figure3_plan
+from repro.core.sut import JailhouseSUT, SutConfig
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import EveryNCalls, OneShotAtCall
 from repro.engine import CampaignEngine
@@ -23,7 +27,7 @@ from repro.engine.scheduler import (
     group_by_prefix,
     shard_families,
 )
-from repro.engine.workers import PrefixSnapshotCache, shareable_keys_of
+from repro.engine.workers import FamilyExecutor
 from repro.errors import CampaignError
 
 
@@ -176,44 +180,27 @@ class TestSchedulerFamilies:
         tiny = shard_families(group_by_prefix(queue[:2]), 1, min_shards=8)
         assert all(len(shard) == 1 for shard in tiny)
 
-    def test_shareable_keys_exclude_singletons(self):
-        assert len(shareable_keys_of(group_by_prefix(self.queue()))) == 2
-        singles = build_work_queue(paper_figure3_plan(num_tests=3,
-                                                      duration=2.0))
-        assert shareable_keys_of(group_by_prefix(singles)) == frozenset()
-
 
 class TestPrefixCacheLru:
-    def test_eviction_is_least_recently_used(self):
-        cache = PrefixSnapshotCache(2)
-        cache.put("a", sut="SA", snapshot=1)
-        cache.put("b", sut="SB", snapshot=2)
-        assert cache.get("a").snapshot == 1      # refresh a
-        cache.put("c", sut="SC", snapshot=3)
-        assert cache.evictions == 1
-        assert cache.get("b") is None            # b was the LRU victim
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-
-    def test_counters(self):
-        cache = PrefixSnapshotCache(4)
-        assert cache.get("missing") is None
-        cache.put("k", sut=None, snapshot=None)
-        cache.get("k")
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(CampaignError):
-            PrefixSnapshotCache(0)
+    """A family snapshot lives only while its family runs."""
 
     def test_singleton_families_are_not_snapshotted(self):
-        # A snapshot nobody will fork from is pure overhead: with the
-        # shareable-key set present, lone-family keys skip cache.put.
-        cache = PrefixSnapshotCache(4, shareable_keys=frozenset({"shared"}))
-        assert cache.worth_caching("shared")
-        assert not cache.worth_caching("lone")
-        unknown = PrefixSnapshotCache(4)     # no set: cache everything
-        assert unknown.worth_caching("anything")
+        # A snapshot nobody will fork from is pure overhead: a singleton
+        # family runs as a plain Experiment.run(), while a larger family
+        # captures one for its members and drops it when the family ends.
+        config = shared_prefix_config(tests=1, variants=2)
+        config.scenarios = ["lifecycle"]         # scalar forks, no lockstep
+        pair = build_work_queue(config.compile())
+        single = build_work_queue(paper_figure3_plan(num_tests=1,
+                                                     duration=1.0))
+        executor = FamilyExecutor(default_sut_factory)
+        captured = []
+        for family, step in executor.steps(single + pair):
+            index, result = executor.run_item(family, step[0])
+            captured.append((result.prefix_cache_hit,
+                             executor._shared is not None))
+        assert captured == [(None, False), (False, True), (True, True)]
+        assert executor._shared is None
 
 
 class TestCatalogParity:
@@ -221,84 +208,66 @@ class TestCatalogParity:
 
     @pytest.mark.parametrize("key", ["fig3", "high-root", "high-nonroot",
                                      "park-and-recover"])
-    def test_catalog_entry_parity(self, key):
+    def test_catalog_entry_parity(self, key, cold_reference):
         plan = catalog_config(key, num_tests=2, duration=3.0).compile()
-        cold = CampaignEngine(plan, jobs=1).run()
-        cached = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        assert records_of(cold) == records_of(cached)
-        stats = cached.prefix_cache_stats()
-        # Catalog entries use one seed per test: every family is a singleton.
-        assert stats == {"hits": 0, "misses": 2, "uncached": 0}
+        engine = CampaignEngine(plan, jobs=1).run()
+        assert records_of(engine) == records_of(cold_reference(plan))
+        # Catalog entries use one seed per test: every family is a
+        # singleton, which runs as a plain Experiment.run().
+        assert engine.prefix_cache_stats() == {
+            "hits": 0, "misses": 0, "uncached": 2
+        }
 
 
 class TestSharedPrefixParity:
-    def test_families_fast_forward_with_identical_records(self):
+    def test_families_fast_forward_with_identical_records(self,
+                                                           cold_reference):
         plan = shared_prefix_config(tests=2, variants=4).compile()
-        cold = CampaignEngine(plan, jobs=1).run()
-        cached = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        assert records_of(cold) == records_of(cached)
+        cached = CampaignEngine(plan, jobs=1).run()
+        assert records_of(cached) == records_of(cold_reference(plan))
         assert cached.prefix_cache_stats() == {
             "hits": 6, "misses": 2, "uncached": 0
         }
 
-    def test_parallel_and_pooled_combinations_match(self):
-        plan = shared_prefix_config(tests=2, variants=3).compile()
-        cold = CampaignEngine(plan, jobs=1).run()
-        for kwargs in (dict(jobs=2, prefix_cache=True),
-                       dict(jobs=1, prefix_cache=True, pooling=True),
-                       dict(jobs=2, prefix_cache=True, pooling=True)):
-            variant = CampaignEngine(plan, **kwargs).run()
-            assert records_of(cold) == records_of(variant), kwargs
-
-    def test_tiny_lru_capacity_still_correct(self):
-        # Capacity 1 with interleaved families: the family-contiguous
-        # schedule keeps it at one miss per family even so.
+    def test_parallel_and_pooled_combinations_match(self, cold_reference):
+        # Interleaved families (the grid compiles combo-major): every
+        # schedule still runs each family contiguously, one miss apiece.
         plan = shared_prefix_config(tests=3, variants=3).compile()
-        cold = CampaignEngine(plan, jobs=1).run()
-        cached = CampaignEngine(plan, jobs=1, prefix_cache=True,
-                                prefix_cache_size=1).run()
-        assert records_of(cold) == records_of(cached)
-        assert cached.prefix_cache_stats() == {
-            "hits": 6, "misses": 3, "uncached": 0
-        }
+        reference = records_of(cold_reference(plan))
+        for kwargs in (dict(jobs=1), dict(jobs=2), dict(jobs=2, chunk_size=4)):
+            variant = CampaignEngine(plan, **kwargs).run()
+            assert records_of(variant) == reference, kwargs
+            assert variant.prefix_cache_stats()["misses"] >= 3, kwargs
 
-    def test_multi_scenario_grid_parity(self):
+    def test_multi_scenario_grid_parity(self, cold_reference):
         # Mixed scenarios per seed: the steady-state family forks from the
         # post-settle snapshot, the lifecycle family from the bare post-boot
         # snapshot — both must replay bit-identically.
         config = shared_prefix_config(tests=2, variants=2)
         config.scenarios = ["steady-state", "lifecycle"]
         plan = config.compile()
-        cold = CampaignEngine(plan, jobs=1).run()
-        cached = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        assert records_of(cold) == records_of(cached)
+        cached = CampaignEngine(plan, jobs=1).run()
+        assert records_of(cached) == records_of(cold_reference(plan))
         # 2 seeds x 2 scenarios = 4 families of 2 variants each.
         assert cached.prefix_cache_stats() == {
             "hits": 4, "misses": 4, "uncached": 0
         }
 
-    def test_cross_lifecycle_family_parity(self):
+    def test_cross_lifecycle_family_parity(self, cold_reference):
         # lifecycle and repeated-lifecycle share a prefix family: the
         # repeated-lifecycle variant forks from the snapshot the lifecycle
         # miss captured, and must replay bit-identically.
         config = shared_prefix_config(tests=2, variants=1, duration=2.0)
         config.scenarios = ["lifecycle", "repeated-lifecycle"]
         plan = config.compile()
-        cold = CampaignEngine(plan, jobs=1).run()
-        cached = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        assert records_of(cold) == records_of(cached)
+        cached = CampaignEngine(plan, jobs=1).run()
+        assert records_of(cached) == records_of(cold_reference(plan))
         # 2 seeds x 2 scenarios, one family per seed.
         assert cached.prefix_cache_stats() == {
             "hits": 2, "misses": 2, "uncached": 0
         }
 
-    def test_campaign_run_prefix_cache_kwarg(self):
-        plan = paper_figure3_plan(num_tests=3, duration=3.0)
-        cold = Campaign(plan).run()
-        cached = Campaign(plan).run(prefix_cache=True, chunk_size="auto")
-        assert records_of(cold) == records_of(cached)
-
-    def test_cold_boot_opt_out_bypasses_the_cache(self):
+    def test_cold_boot_opt_out_bypasses_the_cache(self, cold_reference):
         specs = []
         for index in range(4):
             specs.append(ExperimentSpec(
@@ -313,70 +282,52 @@ class TestSharedPrefixParity:
                 cold_boot=(index == 1),  # ...but one opts out entirely
             ))
         plan = TestPlan(name="optout", specs=specs)
-        cold = CampaignEngine(plan, jobs=1).run()
-        cached = CampaignEngine(plan, jobs=1, prefix_cache=True).run()
-        assert records_of(cold) == records_of(cached)
+        cached = CampaignEngine(plan, jobs=1).run()
+        assert records_of(cached) == records_of(cold_reference(plan))
         by_name = {result.spec_name: result for result in cached.results}
         assert by_name["optout-1"].prefix_cache_hit is None
         assert cached.prefix_cache_stats() == {
             "hits": 2, "misses": 1, "uncached": 1
         }
 
-    def test_baseline_sut_is_served_by_the_cache(self):
+    def test_baseline_sut_is_served_by_the_cache(self, cold_reference):
         # The baseline SUTs subclass JailhouseSUT, so they inherit the
         # snapshot/fork protocol and fast-forward like the real deployment.
         plan = shared_prefix_config(tests=1, variants=3).compile()
-        cold = CampaignEngine(plan, jobs=1, sut_factory="bao-like").run()
-        cached = CampaignEngine(plan, jobs=1, sut_factory="bao-like",
-                                prefix_cache=True).run()
-        assert records_of(cold) == records_of(cached)
+        cached = CampaignEngine(plan, jobs=1, sut_factory="bao-like").run()
+        assert records_of(cached) == records_of(
+            cold_reference(plan, "bao-like"))
         assert cached.prefix_cache_stats() == {
             "hits": 2, "misses": 1, "uncached": 0
         }
 
-    def test_non_snapshot_sut_bypasses_the_cache(self):
-        from repro.engine.workers import _run_item_prefix_cached
+    def test_non_snapshot_sut_bypasses_the_cache(self, cold_reference):
+        class NoSnapshotSut(JailhouseSUT):
+            """No pooling or snapshot/fork protocol: every member runs cold."""
 
-        torn_down = []
+            enable_snapshot_pooling = None
+            snapshot = None
+            fork_from_snapshot = None
 
-        class PlainSut:
-            """No snapshot/fork protocol: must run cold, outside the cache."""
+        def factory(seed):
+            return NoSnapshotSut(SutConfig(seed=seed))
 
-            def teardown(self):
-                torn_down.append(self)
+        plan = shared_prefix_config(tests=1, variants=3).compile()
+        result = CampaignEngine(plan, jobs=1, sut_factory=factory).run()
+        assert records_of(result) == records_of(cold_reference(plan))
+        assert result.prefix_cache_stats() == {
+            "hits": 0, "misses": 0, "uncached": 3
+        }
+        assert result.batch_stats()["batched"] == 0
 
-        class FakeExperiment:
-            spec = ExperimentSpec(
-                name="plain", target=InjectionTarget.nonroot_cpu_trap(),
-                trigger=EveryNCalls(10), fault_model=SingleBitFlip(),
-                duration=1.0,
-            )
-            sut_factory = staticmethod(lambda seed: PlainSut())
-
-            def run_prefix(self, sut):
-                self.prefix_sut = sut
-
-            def run_from_snapshot(self, sut, wall_start=None):
-                assert sut is self.prefix_sut
-                return SimpleNamespace(name="cold-result",
-                                       prefix_wall_time=None)
-
-        cache = PrefixSnapshotCache(2)
-        experiment = FakeExperiment()
-        result = _run_item_prefix_cached(experiment, cache)
-        assert result.name == "cold-result"
-        assert result.prefix_wall_time is not None   # bypass still times it
-        assert (cache.bypasses, cache.hits, cache.misses) == (1, 0, 0)
-        assert len(cache) == 0               # nothing was cached
-        assert len(torn_down) == 1           # the cold SUT was torn down
-
-    def test_checkpoint_resume_composes_with_the_cache(self, tmp_path):
+    def test_checkpoint_resume_composes_with_the_cache(self, tmp_path,
+                                                       cold_reference):
         plan = shared_prefix_config(tests=2, variants=3).compile()
         path = str(tmp_path / "ckpt.jsonl")
-        full = CampaignEngine(plan, jobs=1, prefix_cache=True,
-                              checkpoint_path=path).run()
-        resumed = CampaignEngine(plan, jobs=1, prefix_cache=True,
-                                 checkpoint_path=path, resume=True).run()
+        full = CampaignEngine(plan, jobs=2, checkpoint_path=path).run()
+        assert records_of(full) == records_of(cold_reference(plan))
+        resumed = CampaignEngine(plan, jobs=1, checkpoint_path=path,
+                                 resume=True).run()
         assert records_of(full) == records_of(resumed)
         # Everything came from the checkpoint: nothing executed, so nothing
         # hit or missed the cache this session.

@@ -9,8 +9,6 @@ from repro.engine.scheduler import (
     build_work_queue,
     group_by_prefix,
     shard_families,
-    shard_for_pool,
-    shard_work,
     suggest_chunk_size,
 )
 from repro.errors import CampaignError
@@ -32,53 +30,19 @@ class TestWorkQueue:
         assert [item.index for item in queue] == [1, 2, 4, 5, 6, 7, 8]
 
 
-class TestSharding:
-    def test_round_robin_is_deterministic_and_complete(self, plan):
-        queue = build_work_queue(plan)
-        shards_a = shard_work(queue, 3)
-        shards_b = shard_work(queue, 3)
-        assert shards_a == shards_b
-        covered = sorted(
-            item.index for shard in shards_a for item in shard.items
-        )
-        assert covered == list(range(10))
-        # Round-robin: item i lands in shard i % 3.
-        assert [item.index for item in shards_a[0].items] == [0, 3, 6, 9]
-        assert [item.index for item in shards_a[1].items] == [1, 4, 7]
-
-    def test_shard_sizes_are_balanced(self, plan):
-        shards = shard_work(build_work_queue(plan), 4)
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_items_clamps(self, plan):
-        shards = shard_work(build_work_queue(plan)[:2], 8)
-        assert len(shards) == 2
-
-    def test_invalid_shard_count_is_rejected(self, plan):
-        with pytest.raises(CampaignError):
-            shard_work(build_work_queue(plan), 0)
-
-
 class TestPoolSharding:
-    def test_pool_shards_are_balanced_and_cover_everything(self, plan):
-        queue = build_work_queue(plan)
-        shards = shard_for_pool(queue, 3)
-        # ceil(10 / 3) = 4 round-robin tasks of balanced size.
-        assert [len(shard) for shard in shards] == [3, 3, 2, 2]
-        covered = sorted(item.index for shard in shards for item in shard.items)
-        assert covered == list(range(10))
+    """The pool's tasks: whole prefix families, in queue order."""
 
     def test_pool_sharding_is_deterministic(self, plan):
-        queue = build_work_queue(plan)
-        assert shard_for_pool(queue, 3) == shard_for_pool(queue, 3)
+        families = group_by_prefix(build_work_queue(plan))
+        assert shard_families(families, 3) == shard_families(families, 3)
 
     def test_empty_queue_yields_no_shards(self):
-        assert shard_for_pool([], 4) == []
+        assert shard_families([], 4) == []
 
     def test_invalid_chunk_size_is_rejected(self, plan):
         with pytest.raises(CampaignError):
-            shard_for_pool(build_work_queue(plan), 0)
+            shard_families(group_by_prefix(build_work_queue(plan)), 0)
 
     def test_suggested_chunk_size_stays_fine_grained(self):
         assert suggest_chunk_size(10, 4) == 1

@@ -1,13 +1,13 @@
 """Campaign-level parity of snapshot/reset pooling.
 
-A pooled campaign must be record-for-record identical to the cold-boot
-``jobs=1`` sequential execution — outcomes, injections, rationales,
+The engine always pools: each process keeps one system under test and
+retargets it between experiments. A pooled campaign must be record-for-record
+identical to the per-spec cold reference — outcomes, injections, rationales,
 availability counts, everything the record schema captures.
 """
 
 import dataclasses
 
-from repro.core.campaign import Campaign
 from repro.core.experiment import ExperimentSpec, Scenario, SingleBitFlip
 from repro.core.plan import TestPlan, paper_figure3_plan
 from repro.core.targets import InjectionTarget
@@ -21,19 +21,13 @@ def records_of(result):
 
 
 class TestCampaignPoolingParity:
-    def test_pooled_campaign_matches_cold_boot_sequential(self):
+    def test_pooled_campaign_matches_cold_boot_sequential(self,
+                                                           cold_reference):
         plan = paper_figure3_plan(num_tests=4, duration=3.0)
-        cold = CampaignEngine(plan, jobs=1).run()
-        pooled = CampaignEngine(plan, jobs=1, pooling=True).run()
-        assert records_of(cold) == records_of(pooled)
+        pooled = CampaignEngine(plan, jobs=1).run()
+        assert records_of(pooled) == records_of(cold_reference(plan))
 
-    def test_campaign_run_pooling_kwarg_matches(self):
-        plan = paper_figure3_plan(num_tests=3, duration=3.0)
-        cold = Campaign(plan).run()
-        pooled = Campaign(plan).run(pooling=True)
-        assert records_of(cold) == records_of(pooled)
-
-    def test_cold_boot_opt_out_spec_is_honoured(self):
+    def test_cold_boot_opt_out_spec_is_honoured(self, cold_reference):
         specs = []
         for seed in range(3):
             specs.append(ExperimentSpec(
@@ -47,9 +41,8 @@ class TestCampaignPoolingParity:
                 cold_boot=(seed == 1),      # middle spec opts out of pooling
             ))
         plan = TestPlan(name="optout", specs=specs)
-        cold = CampaignEngine(plan, jobs=1).run()
-        pooled = CampaignEngine(plan, jobs=1, pooling=True).run()
-        assert records_of(cold) == records_of(pooled)
+        pooled = CampaignEngine(plan, jobs=1).run()
+        assert records_of(pooled) == records_of(cold_reference(plan))
 
     def test_pooled_factory_falls_back_for_non_pooling_suts(self):
         built = []
@@ -73,9 +66,8 @@ class TestCampaignPoolingParity:
 
 
 class TestPooledParallelParity:
-    def test_pooled_pool_matches_sequential(self):
+    def test_pooled_pool_matches_sequential(self, cold_reference):
         """Each worker pools independently; results still match plan order."""
         plan = paper_figure3_plan(num_tests=4, duration=2.0)
-        sequential = CampaignEngine(plan, jobs=1).run()
-        parallel_pooled = CampaignEngine(plan, jobs=2, pooling=True).run()
-        assert records_of(sequential) == records_of(parallel_pooled)
+        parallel_pooled = CampaignEngine(plan, jobs=2).run()
+        assert records_of(parallel_pooled) == records_of(cold_reference(plan))

@@ -17,6 +17,7 @@ from repro.core.campaign import Campaign
 from repro.core.outcomes import Outcome
 from repro.core.plan import paper_figure3_plan
 from repro.core.registry import RegistrySutFactory
+from repro.core.sut import JailhouseSUT, SutConfig
 from repro.engine.quarantine import QuarantineLog, default_quarantine_path
 from repro.engine.scheduler import build_work_queue
 from repro.engine.supervisor import RunPolicy, infra_result
@@ -43,10 +44,27 @@ class EventRecorder:
         return [kind for kind, _ in self.events]
 
 
-class FaultyFactory:
-    """Delegates to the real jailhouse factory, misbehaving on chosen seeds.
+class StrikingSut(JailhouseSUT):
+    """The paper's deployment, asking its factory to strike at every setup.
 
-    ``mode`` per seed: ``"raise"`` raises RuntimeError every call,
+    ``setup()`` opens every experiment whether the engine reuses a pooled
+    SUT or builds a fresh one, so a fault struck there fires once per
+    experiment either way.
+    """
+
+    def __init__(self, seed, strike):
+        super().__init__(SutConfig(seed=seed))
+        self.strike = strike
+
+    def setup(self):
+        self.strike(self.config.seed)
+        super().setup()
+
+
+class FaultyFactory:
+    """The real jailhouse deployment, misbehaving on chosen seeds.
+
+    ``mode`` per seed: ``"raise"`` raises RuntimeError every time,
     ``"hang"`` sleeps far past any test timeout, ``"kill"`` SIGKILLs its own
     process. Picklable (plain attributes) so it crosses into pool workers
     under any start method.
@@ -54,9 +72,11 @@ class FaultyFactory:
 
     def __init__(self, modes):
         self.modes = dict(modes)
-        self.base = RegistrySutFactory("jailhouse")
 
     def __call__(self, seed):
+        return StrikingSut(seed, self.strike)
+
+    def strike(self, seed):
         mode = self.modes.get(seed)
         if mode == "raise":
             raise RuntimeError(f"synthetic fault for seed {seed}")
@@ -64,21 +84,21 @@ class FaultyFactory:
             time.sleep(300)
         if mode == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        return self.base(seed)
 
 
 class FlakyOnceFactory:
-    """Raises on the first call for each marked seed, then behaves."""
+    """Raises on the first experiment of each marked seed, then behaves."""
 
     def __init__(self, seeds):
         self.remaining = set(seeds)
-        self.base = RegistrySutFactory("jailhouse")
 
     def __call__(self, seed):
+        return StrikingSut(seed, self.strike)
+
+    def strike(self, seed):
         if seed in self.remaining:
             self.remaining.remove(seed)
             raise RuntimeError(f"transient fault for seed {seed}")
-        return self.base(seed)
 
 
 @pytest.fixture
