@@ -21,7 +21,7 @@ import time
 from _common import run_campaign, save_and_print, scaled
 
 from repro.core.plan import paper_figure3_plan
-from repro.engine import CampaignEngine, suggest_chunk_size
+from repro.engine import CampaignEngine
 
 #: Keep the simulated duration short: per-test wall time is what we parallelize.
 TEST_DURATION = 2.0
@@ -45,12 +45,8 @@ def test_engine_parallel_speedup_and_parity(benchmark):
     sequential, seq_time = _timed("sequential", lambda: run_campaign(plan))
 
     def _parallel():
-        # Simulated experiments run in milliseconds, so batch pool tasks;
-        # real minute-long campaigns keep the default chunk_size=1.
-        return CampaignEngine(
-            plan, jobs=PARALLEL_JOBS,
-            chunk_size=suggest_chunk_size(len(plan), PARALLEL_JOBS),
-        ).run()
+        # One pool task per prefix family, as every campaign runs.
+        return CampaignEngine(plan, jobs=PARALLEL_JOBS).run()
 
     parallel = benchmark.pedantic(_parallel, rounds=1, iterations=1)
     par_time = benchmark.stats.stats.total

@@ -33,8 +33,8 @@ reproduction without writing Python:
   idempotently by spec identity into atomic per-campaign record stores,
   and ``--resume`` recovers a killed coordinator losslessly;
 * ``repro-fi fleet-worker`` — one worker agent: joins a coordinator, pulls
-  shard leases, runs them through the ordinary campaign engine (all the
-  engine flags compose), and submits the records back;
+  shard leases, runs them through the ordinary campaign engine (``--jobs``
+  and the supervision flags compose), and submits the records back;
 * ``repro-fi submit``       — send a campaign config to a running
   coordinator (``--wait`` polls until done, ``--output`` downloads the
   merged records);
@@ -68,15 +68,26 @@ so the same checkpoint drives campaigns against every variant. The engine
 decides by itself how to run each prefix family (pooled SUTs, prefix forks,
 lockstep batches) without changing any record — see the README's
 Performance guide.
+
+Every campaign runs supervised under one
+:class:`~repro.core.policy.RunPolicy`, the same one the library and the
+fleet worker use: a spec that crashes, raises or hangs is retried and then
+recorded as ``infra_crash``/``infra_timeout`` instead of aborting the run.
+``--timeout``, ``--retries`` and ``--max-worker-restarts`` adjust it —
+over the config's ``[campaign]`` keys for ``run`` and ``fleet-worker``,
+over the defaults (one retry, eight worker restarts, no timeout) for
+``fig3`` and ``campaign``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -102,6 +113,7 @@ from repro.core.plan import (
     paper_high_intensity_root_plan,
 )
 from repro.core.outcomes import Outcome
+from repro.core.policy import RunPolicy
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.core.registry import (
     CLASSIFIERS,
@@ -126,12 +138,9 @@ from repro.core.report import (
 from repro.core.analysis import outcome_distribution
 from repro.core.targets import InjectionTarget
 from repro.engine import CampaignEngine
-from repro.engine.scheduler import normalize_chunk_size
-from repro.engine.supervisor import DEFAULT_RETRIES
 from repro.errors import (
     AnalysisError,
     CampaignConfigError,
-    CampaignError,
     FleetError,
     ReproError,
 )
@@ -194,22 +203,18 @@ def _sut_factory(args, default: "str | RegistrySutFactory" = "jailhouse"):
     return default
 
 
-def _parse_chunk_size(raw) -> "int | str | None":
-    """Parse a ``--chunk-size`` value: a positive integer or ``auto``.
+def _policy(args, base: RunPolicy = RunPolicy()) -> RunPolicy:
+    """``base`` with the ``--timeout``/``--retries``/``--max-worker-restarts``
+    flags that were given applied over it.
 
-    Only string-to-int conversion lives here; the actual rule is the
-    engine's :func:`~repro.engine.scheduler.normalize_chunk_size`, re-wrapped
-    as a user-input error so the CLI reports it without a traceback.
+    ``run`` and ``fleet-worker`` pass the campaign config's policy, ``fig3``
+    and ``campaign`` the default. ``RunPolicy`` checks the result, so a bad
+    flag value is a :class:`~repro.errors.CampaignError` (exit 1).
     """
-    if isinstance(raw, str) and raw != "auto":
-        try:
-            raw = int(raw)
-        except ValueError:
-            pass                         # let the shared validator reject it
-    try:
-        return normalize_chunk_size(raw)
-    except CampaignError as exc:
-        raise CampaignConfigError(f"--chunk-size: {exc}") from None
+    flags = {"timeout_s": args.timeout, "retries": args.retries,
+             "max_worker_restarts": args.max_worker_restarts}
+    return replace(base, **{key: value for key, value in flags.items()
+                            if value is not None})
 
 
 def _observability(plan, args):
@@ -243,32 +248,14 @@ def _observability(plan, args):
 
 
 def _run_plan(plan, args, sut_factory=None, classifier=None,
-              chunk_size_default: "int | str | None" = None,
-              timeout_default: "float | None" = None,
-              retries_default: "int | None" = None,
-              max_worker_restarts_default: "int | None" = None):
+              policy: RunPolicy = RunPolicy()):
     """Execute a plan through the engine with the shared campaign flags.
 
-    ``--chunk-size``, ``--timeout``, ``--retries`` and
-    ``--max-worker-restarts`` override the defaults (which ``repro-fi run``
-    takes from the campaign config). CLI campaigns always run supervised: a
+    The supervision flags apply over ``policy`` (:func:`_policy`): a
     crashing or hanging spec is retried and then quarantined rather than
     taking the whole run down.
     """
-    chunk_size = _parse_chunk_size(getattr(args, "chunk_size", None))
-    if chunk_size is None:
-        chunk_size = chunk_size_default
-    timeout_s = getattr(args, "timeout", None)
-    if timeout_s is None:
-        timeout_s = timeout_default
-    retries = getattr(args, "retries", None)
-    if retries is None:
-        retries = retries_default
-    if retries is None:
-        retries = DEFAULT_RETRIES
-    max_worker_restarts = getattr(args, "max_worker_restarts", None)
-    if max_worker_restarts is None:
-        max_worker_restarts = max_worker_restarts_default
+    policy = _policy(args, policy)
     telemetry, hub, server = _observability(plan, args)
     callbacks = []
     if args.verbose:
@@ -292,12 +279,9 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
             classifier=classifier,
             checkpoint_path=args.resume,
             resume=args.resume is not None,
-            chunk_size=chunk_size,
             progress=progress,
             telemetry=telemetry,
-            timeout_s=timeout_s,
-            retries=retries,
-            max_worker_restarts=max_worker_restarts,
+            policy=policy,
             flush_interval_s=getattr(args, "flush_interval", 0.0) or 0.0,
         )
         result = engine.run()
@@ -433,10 +417,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         plan, args,
         sut_factory=config.sut_factory(override=args.sut),
         classifier=config.build_classifier(),
-        chunk_size_default=config.chunk_size,
-        timeout_default=config.timeout_s,
-        retries_default=config.retries,
-        max_worker_restarts_default=config.max_worker_restarts,
+        policy=config.policy,
     )
     print(format_campaign_summary(result))
     _save_records(result, args.output)
@@ -813,14 +794,12 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
     """Run one worker agent against a coordinator URL."""
     from repro.fleet.worker import FleetWorkerAgent
 
+    _policy(args)              # reject bad flag values before joining a fleet
     agent = FleetWorkerAgent(
         args.url,
         host=args.name,
         jobs=args.jobs,
-        chunk_size=_parse_chunk_size(getattr(args, "chunk_size", None)),
-        timeout_s=args.timeout,
-        retries=args.retries,
-        max_worker_restarts=args.max_worker_restarts,
+        policy=functools.partial(_policy, args),
         sut=args.sut,
         poll_s=args.poll,
         offline_grace_s=args.offline_grace,
@@ -979,30 +958,27 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--resume", metavar="PATH",
                              help="checkpoint records to PATH and skip specs "
                                   "already recorded there")
-        command.add_argument("--chunk-size", metavar="N|auto",
-                             help="experiments per pool task (default 1: "
-                                  "each prefix family is its own task, so "
-                                  "it streams and checkpoints as soon as it "
-                                  "completes); 'auto' sizes tasks for very "
-                                  "short experiments")
         command.add_argument("--timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="per-experiment wall-clock watchdog: a "
                                   "hung experiment is killed after SECONDS "
                                   "and retried, then quarantined as "
-                                  "infra_timeout (default: no timeout)")
+                                  "infra_timeout (default: the config's "
+                                  "timeout_s for run, else no timeout)")
         command.add_argument("--retries", type=int, default=None,
                              metavar="N",
                              help="re-run a crashed/hung/erroring spec up "
                                   "to N times (same seed, exponential "
                                   "backoff) before quarantining it "
-                                  "(default 1)")
+                                  "(default: the config's retries for "
+                                  "run, else 1)")
         command.add_argument("--max-worker-restarts", type=int, default=None,
                              metavar="N",
                              help="campaign-wide budget of unexpected "
-                                  "worker-death respawns (default 8); "
-                                  "deliberate --timeout kills are not "
-                                  "counted")
+                                  "worker-death respawns (default: the "
+                                  "config's max_worker_restarts for run, "
+                                  "else 8); deliberate --timeout kills are "
+                                  "not counted")
         command.add_argument("--flush-interval", type=float, default=0.0,
                              metavar="SECONDS",
                              help="batch atomic checkpoint flushes to at "
@@ -1266,12 +1242,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_worker.add_argument("--jobs", type=int, default=1,
                               help="worker processes per shard "
                                    "(0 = one per CPU)")
-    fleet_worker.add_argument("--chunk-size", metavar="N|auto")
     fleet_worker.add_argument("--timeout", type=float, default=None,
                               metavar="SECONDS",
-                              help="per-experiment watchdog (same "
-                                   "semantics as the campaign "
-                                   "subcommands)")
+                              help="per-experiment watchdog; this, "
+                                   "--retries and --max-worker-restarts "
+                                   "override the leased config's policy, "
+                                   "as they do under 'repro-fi run'")
     fleet_worker.add_argument("--retries", type=int, default=None,
                               metavar="N")
     fleet_worker.add_argument("--max-worker-restarts", type=int,

@@ -23,6 +23,7 @@ from repro.core.experiment import (
 )
 from repro.core.outcomes import Outcome, OutcomeClassifier
 from repro.core.plan import TestPlan
+from repro.core.policy import RunPolicy
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.core.registry import resolve_sut_factory
 from repro.errors import CampaignError
@@ -197,12 +198,8 @@ class Campaign:
             jobs: int = 1,
             checkpoint_path: Optional[str] = None,
             resume: bool = False,
-            chunk_size: "int | str | None" = None,
             telemetry=None,
-            timeout_s: Optional[float] = None,
-            retries: Optional[int] = None,
-            max_worker_restarts: Optional[int] = None,
-            quarantine_path: Optional[str] = None,
+            policy: RunPolicy = RunPolicy(),
             flush_interval_s: float = 0.0) -> CampaignResult:
         """Execute every experiment in the plan.
 
@@ -216,17 +213,15 @@ class Campaign:
         family's pre-injection prefix once and forks the other members from
         its snapshot, and steps steady-state family members in lockstep —
         with records identical to running each spec on a fresh system under
-        test (``cold_boot=True`` specs opt out). ``chunk_size`` groups pool
-        tasks (``"auto"`` derives a size from the queue; see
-        :func:`~repro.engine.scheduler.suggest_chunk_size`). ``telemetry``
-        attaches a :class:`~repro.obs.telemetry.Telemetry` bus for live
-        observability (structured events + the ``watch`` dashboard).
-        ``timeout_s``/``retries``/``max_worker_restarts`` opt into the
-        engine's supervision layer (watchdog timeouts, retry with backoff,
-        poison-spec quarantine — see
-        :class:`~repro.engine.supervisor.RunPolicy`); ``quarantine_path``
-        overrides the quarantine log location and ``flush_interval_s``
-        batches the atomic checkpoint flushes.
+        test (``cold_boot=True`` specs opt out). ``telemetry`` attaches a
+        :class:`~repro.obs.telemetry.Telemetry` bus for live observability
+        (structured events + the ``watch`` dashboard). Execution is always
+        supervised under ``policy`` (:class:`~repro.core.policy.RunPolicy`;
+        by default one retry, then quarantine): a spec that raises, hangs
+        past ``timeout_s`` or kills its worker ends as an ``infra_*`` result
+        instead of aborting the campaign, and with a checkpoint it is logged
+        to ``<checkpoint>.quarantine`` for ``resume`` to re-offer.
+        ``flush_interval_s`` batches the atomic checkpoint flushes.
         """
         # Imported here: the engine returns this module's CampaignResult, so a
         # top-level import would be circular.
@@ -245,13 +240,9 @@ class Campaign:
             classifier=self.classifier,
             checkpoint_path=checkpoint_path,
             resume=resume,
-            chunk_size=chunk_size,
             progress=engine_progress,
             telemetry=telemetry,
-            timeout_s=timeout_s,
-            retries=retries,
-            max_worker_restarts=max_worker_restarts,
-            quarantine_path=quarantine_path,
+            policy=policy,
             flush_interval_s=flush_interval_s,
         )
         campaign_result = engine.run()

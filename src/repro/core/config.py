@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.experiment import ExperimentSpec, PAPER_TEST_DURATION
 from repro.core.plan import IntensityLevel, TestPlan
+from repro.core.policy import RunPolicy
 from repro.core.registry import (
     CLASSIFIERS,
     FAULT_MODELS,
@@ -53,15 +54,17 @@ from repro.core.registry import (
     TRIGGERS,
     suggest_close_matches,
 )
-from repro.errors import CampaignConfigError
+from repro.errors import CampaignConfigError, CampaignError
 
+#: ``[campaign]`` keys that make up the campaign's :class:`RunPolicy`, with
+#: the type each is coerced to.
+_POLICY_KEYS = {"timeout_s": float, "retries": int, "max_worker_restarts": int}
 #: Keys accepted in the ``[campaign]`` table (anything else is a typo).
 _CAMPAIGN_KEYS = frozenset({
     "name", "description", "tests", "base_seed", "duration", "settle_time",
     "warmup_time", "observe_time", "intensity", "scenario", "sut",
     "classifier", "sampling", "sample_size", "sample_seed",
-    "high_intensity_registers", "chunk_size", "timeout_s", "retries",
-    "max_worker_restarts",
+    "high_intensity_registers", *_POLICY_KEYS,
 })
 #: Top-level tables/arrays accepted next to ``[campaign]``.
 _TOP_LEVEL_KEYS = frozenset({"campaign", "target", "trigger", "fault_model"})
@@ -96,15 +99,19 @@ class PartRef:
                     f"{axis} entry has unknown keys {sorted(unknown)}; "
                     f"expected 'kind', 'params', 'tag'"
                 )
-            if "kind" not in value:
-                raise CampaignConfigError(f"{axis} entry needs a 'kind' key")
+            if not isinstance(value.get("kind"), str):
+                raise CampaignConfigError(
+                    f"{axis} entry needs a string 'kind' key")
             params = value.get("params", {})
             if not isinstance(params, dict):
                 raise CampaignConfigError(
                     f"{axis} params must be a table/object, got {type(params).__name__}"
                 )
-            return cls(kind=value["kind"], params=dict(params),
-                       tag=value.get("tag"))
+            tag = value.get("tag")
+            if tag is not None and not isinstance(tag, str):
+                raise CampaignConfigError(
+                    f"{axis} 'tag' must be a string, got {type(tag).__name__}")
+            return cls(kind=value["kind"], params=dict(params), tag=tag)
         raise CampaignConfigError(
             f"{axis} entry must be a registry key string or a table with "
             f"'kind'/'params', got {type(value).__name__}"
@@ -153,18 +160,10 @@ class CampaignConfig:
     sampling: str = "grid"
     sample_size: Optional[int] = None
     sample_seed: int = 0
-    #: Pool-task granularity: a positive int, ``"auto"``, or ``None`` for the
-    #: engine default of one experiment per task. The CLI's ``--chunk-size``
-    #: overrides this.
-    chunk_size: Optional[object] = None
-    #: Supervision defaults (the CLI's ``--timeout``/``--retries``/
-    #: ``--max-worker-restarts`` override these): per-experiment wall-clock
-    #: budget in seconds, retry attempts before a crashing/hanging spec is
-    #: quarantined, and the campaign-wide worker respawn budget. ``None``
-    #: defers to the engine defaults.
-    timeout_s: Optional[float] = None
-    retries: Optional[int] = None
-    max_worker_restarts: Optional[int] = None
+    #: Supervision policy, from the ``timeout_s``/``retries``/
+    #: ``max_worker_restarts`` keys (the CLI's ``--timeout``/``--retries``/
+    #: ``--max-worker-restarts`` override them).
+    policy: RunPolicy = RunPolicy()
 
     # -- loading --------------------------------------------------------------------
 
@@ -212,27 +211,20 @@ class CampaignConfig:
             scenarios=[str(entry) for entry in scenarios],
             sut=sut,
             classifier=classifier,
-            tests=int(campaign.get("tests", 1)),
-            base_seed=int(campaign.get("base_seed", 0)),
-            duration=float(campaign.get("duration", PAPER_TEST_DURATION)),
-            settle_time=float(campaign.get("settle_time", 1.0)),
-            warmup_time=float(campaign.get("warmup_time", 1.0)),
-            observe_time=float(campaign.get("observe_time", 10.0)),
+            tests=_number(campaign, "tests", int, 1),
+            base_seed=_number(campaign, "base_seed", int, 0),
+            duration=_number(campaign, "duration", float,
+                             PAPER_TEST_DURATION),
+            settle_time=_number(campaign, "settle_time", float, 1.0),
+            warmup_time=_number(campaign, "warmup_time", float, 1.0),
+            observe_time=_number(campaign, "observe_time", float, 10.0),
             intensity=campaign.get("intensity"),
-            high_intensity_registers=int(
-                campaign.get("high_intensity_registers", 4)),
+            high_intensity_registers=_number(
+                campaign, "high_intensity_registers", int, 4),
             sampling=campaign.get("sampling", "grid"),
-            sample_size=(int(campaign["sample_size"])
-                         if "sample_size" in campaign else None),
-            sample_seed=int(campaign.get("sample_seed", 0)),
-            chunk_size=campaign.get("chunk_size"),
-            timeout_s=(float(campaign["timeout_s"])
-                       if "timeout_s" in campaign else None),
-            retries=(int(campaign["retries"])
-                     if "retries" in campaign else None),
-            max_worker_restarts=(int(campaign["max_worker_restarts"])
-                                 if "max_worker_restarts" in campaign
-                                 else None),
+            sample_size=_number(campaign, "sample_size", int, None),
+            sample_seed=_number(campaign, "sample_seed", int, 0),
+            policy=_policy(campaign),
         )
         config.validate()
         return config
@@ -277,10 +269,9 @@ class CampaignConfig:
             campaign["intensity"] = self.intensity
         if self.sample_size is not None:
             campaign["sample_size"] = self.sample_size
-        for key in ("chunk_size", "timeout_s", "retries",
-                    "max_worker_restarts"):
-            value = getattr(self, key)
-            if value is not None:
+        for key in _POLICY_KEYS:
+            value = getattr(self.policy, key)
+            if value != getattr(RunPolicy(), key):
                 campaign[key] = value
         data: Dict[str, object] = {
             "campaign": campaign,
@@ -324,24 +315,6 @@ class CampaignConfig:
                 "config needs [[trigger]] and [[fault_model]] entries, or "
                 "intensity = 'medium'/'high' to derive them"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise CampaignConfigError("[campaign] timeout_s must be positive")
-        if self.retries is not None and self.retries < 0:
-            raise CampaignConfigError(
-                "[campaign] retries must be non-negative")
-        if self.max_worker_restarts is not None and self.max_worker_restarts < 0:
-            raise CampaignConfigError(
-                "[campaign] max_worker_restarts must be non-negative")
-        if self.chunk_size is not None:
-            # Deferred import: core describes campaigns, engine executes
-            # them, and the chunk-size rule belongs to the execution layer.
-            from repro.engine.scheduler import normalize_chunk_size
-            from repro.errors import CampaignError
-            try:
-                normalize_chunk_size(self.chunk_size)
-            except CampaignError as exc:
-                raise CampaignConfigError(
-                    f"[campaign] chunk_size: {exc}") from None
 
     # -- compilation ----------------------------------------------------------------
 
@@ -462,6 +435,30 @@ class CampaignConfig:
         return (f"campaign {self.name!r}: {len(combos)} grid point(s), "
                 f"{self.sampling} sampling, {total} experiments, "
                 f"sut {self.sut.kind!r}")
+
+
+def _number(campaign: dict, key: str, kind: type, default):
+    """``campaign[key]`` coerced by ``kind`` (``int`` or ``float``), or
+    ``default`` when the key is absent."""
+    if key not in campaign:
+        return default
+    value = campaign[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise CampaignConfigError(
+            f"[campaign] {key} must be {noun}, got {value!r}") from None
+
+
+def _policy(campaign: dict) -> RunPolicy:
+    """The ``[campaign]`` supervision keys as a :class:`RunPolicy`."""
+    values = {key: _number(campaign, key, kind, None)
+              for key, kind in _POLICY_KEYS.items() if key in campaign}
+    try:
+        return RunPolicy(**values)
+    except CampaignError as exc:
+        raise CampaignConfigError(f"[campaign] {exc}") from None
 
 
 def _unknown_keys_message(unknown, known, *, where: str) -> str:

@@ -24,12 +24,7 @@ from repro.engine.aggregate import (
 from repro.engine.checkpoint import Checkpoint
 from repro.engine.quarantine import QuarantineLog, default_quarantine_path
 from repro.engine.runner import CampaignEngine
-from repro.engine.scheduler import (
-    Shard,
-    WorkItem,
-    build_work_queue,
-    suggest_chunk_size,
-)
+from repro.engine.scheduler import Shard, WorkItem, build_work_queue
 from repro.engine.supervisor import RunPolicy, SupervisedPool
 from repro.engine.workers import execute_pool, execute_serial, resolve_jobs
 
@@ -49,5 +44,4 @@ __all__ = [
     "execute_pool",
     "execute_serial",
     "resolve_jobs",
-    "suggest_chunk_size",
 ]

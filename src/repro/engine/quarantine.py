@@ -4,11 +4,11 @@ A spec that crashes or times out through every retry is *quarantined*: the
 campaign completes anyway (its plan slot is filled with a synthesized
 infrastructure result) and the spec's identity plus its last error are
 appended here, one JSON object per line (schema ``repro-quarantine/v1``).
-The file lives next to the checkpoint by default (``<checkpoint>.quarantine``)
-and is intentionally not the checkpoint itself: quarantined specs are *not*
-checkpointed as complete, so a later ``--resume`` naturally re-offers them —
-the quarantine file is the human-readable record of what needs attention,
-not a skip list.
+The file lives next to the checkpoint (``<checkpoint>.quarantine``; a run
+without a checkpoint keeps no log) and is intentionally not the checkpoint
+itself: quarantined specs are *not* checkpointed as complete, so a later
+``--resume`` naturally re-offers them — the quarantine file is the
+human-readable record of what needs attention, not a skip list.
 
 Entry fields: ``spec`` (name), ``spec_id`` (:meth:`ExperimentSpec.identity`),
 ``seed``, ``scenario``, ``attempts``, ``reason`` (``timeout`` | ``crash`` |
@@ -21,7 +21,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 QUARANTINE_SCHEMA = "repro-quarantine/v1"
 
@@ -110,14 +110,3 @@ class QuarantineLog:
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
         return dropped
-
-
-def open_quarantine(path: "str | Path | None",
-                    checkpoint_path: "str | Path | None"
-                    ) -> Optional[QuarantineLog]:
-    """Resolve the quarantine log for a run, if any location is known."""
-    if path is not None:
-        return QuarantineLog(path)
-    if checkpoint_path is not None:
-        return QuarantineLog(default_quarantine_path(checkpoint_path))
-    return None

@@ -43,26 +43,19 @@ from repro.core.experiment import (
 )
 from repro.core.outcomes import OutcomeClassifier
 from repro.core.plan import TestPlan
+from repro.core.policy import RunPolicy
 from repro.core.registry import resolve_sut_factory
 from repro.engine.aggregate import EngineProgress, LiveAggregator
 from repro.engine.checkpoint import Checkpoint
-from repro.engine.quarantine import QuarantineLog, open_quarantine
-from repro.engine.scheduler import (
-    build_work_queue,
-    normalize_chunk_size,
-    suggest_chunk_size,
-)
-from repro.engine.supervisor import (
-    DEFAULT_MAX_WORKER_RESTARTS,
-    DEFAULT_RETRIES,
-    RunPolicy,
-)
+from repro.engine.quarantine import QuarantineLog, default_quarantine_path
+from repro.engine.scheduler import build_work_queue
 from repro.engine.workers import execute_pool, execute_serial, resolve_jobs
 from repro.errors import CampaignError
 
 
 class CampaignEngine:
-    """Executes a test plan across workers, with checkpoint/resume."""
+    """Executes a test plan across workers, supervised under one
+    :class:`~repro.core.policy.RunPolicy`, with checkpoint/resume."""
 
     def __init__(self, plan: TestPlan, *,
                  jobs: int = 1,
@@ -70,13 +63,9 @@ class CampaignEngine:
                  classifier: Optional[OutcomeClassifier] = None,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
-                 chunk_size: "int | str | None" = None,
                  progress: Optional[EngineProgress] = None,
                  telemetry: "Telemetry | None" = None,
-                 timeout_s: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 max_worker_restarts: Optional[int] = None,
-                 quarantine_path: Optional[str] = None,
+                 policy: RunPolicy = RunPolicy(),
                  flush_interval_s: float = 0.0) -> None:
         plan.validate()
         if resume and checkpoint_path is None:
@@ -92,33 +81,19 @@ class CampaignEngine:
             if checkpoint_path is not None else None
         )
         self.resume = resume
-        #: Fault-tolerance policy. ``None`` (no timeout/retry/restart knob
-        #: set) keeps the historical library contract: worker exceptions
-        #: propagate with their original type and nothing is quarantined —
-        #: though worker *deaths*, which used to wedge the pool forever, are
-        #: still survived up to the default restart budget. Setting any knob
-        #: opts into supervision: hung experiments are killed after
+        #: Fault-tolerance policy: hung experiments are killed after
         #: ``timeout_s``, failing specs retry ``retries`` times with
         #: exponential backoff, and persistent offenders are quarantined with
         #: a synthesized infrastructure result so the campaign completes.
-        self.policy: Optional[RunPolicy] = None
-        if (timeout_s is not None or retries is not None
-                or max_worker_restarts is not None):
-            self.policy = RunPolicy(
-                timeout_s=timeout_s,
-                retries=DEFAULT_RETRIES if retries is None else retries,
-                max_worker_restarts=(DEFAULT_MAX_WORKER_RESTARTS
-                                     if max_worker_restarts is None
-                                     else max_worker_restarts),
-            ).validate()
-        #: Sidecar log of quarantined specs (``<checkpoint>.quarantine`` by
-        #: default). Quarantined specs are never checkpointed as complete, so
-        #: ``--resume`` re-offers them; the log is the durable list of what
-        #: needs attention, pruned of re-offered entries on resume.
+        self.policy = policy
+        #: Sidecar log of quarantined specs (``<checkpoint>.quarantine``),
+        #: kept exactly when a checkpoint is. Quarantined specs are never
+        #: checkpointed as complete, so ``--resume`` re-offers them; the log
+        #: is the durable list of what needs attention, pruned of re-offered
+        #: entries on resume.
         self.quarantine: Optional[QuarantineLog] = (
-            open_quarantine(quarantine_path, checkpoint_path)
-            if self.policy is not None or quarantine_path is not None
-            else None
+            QuarantineLog(default_quarantine_path(checkpoint_path))
+            if checkpoint_path is not None else None
         )
         #: Supervision event counts from the last :meth:`run`
         #: (``worker_crash``/``worker_respawn``/``experiment_retry``/
@@ -127,11 +102,6 @@ class CampaignEngine:
         self.infra_counts: dict = {}
         #: How many quarantine entries the last resume dropped for re-offer.
         self.reoffered = 0
-        #: Pool-task granularity: a positive int, ``None`` (= 1: every prefix
-        #: family is its own task, so a singleton family streams as soon as
-        #: it completes), or ``"auto"`` to size tasks from the still-to-run
-        #: queue via :func:`~repro.engine.scheduler.suggest_chunk_size`.
-        self.chunk_size = normalize_chunk_size(chunk_size)
         self.progress = progress
         #: Optional :class:`~repro.obs.telemetry.Telemetry` bus. ``None`` (or
         #: an inactive bus) keeps the result loop exactly as fast as before —
@@ -195,9 +165,6 @@ class CampaignEngine:
 
         queue = build_work_queue(self.plan, skip_indices=skip)
         specs_by_index = {item.index: item.spec for item in queue}
-        chunk_size = self.chunk_size
-        if chunk_size == "auto":
-            chunk_size = suggest_chunk_size(len(queue), self.jobs)
 
         def on_event(kind: str, **payload) -> None:
             # Supervision events surface here, in the parent: counted for the
@@ -222,8 +189,8 @@ class CampaignEngine:
                                     policy=self.policy, on_event=on_event)
         else:
             stream = execute_pool(queue, self.jobs, self.sut_factory,
-                                  self.classifier, chunk_size=chunk_size,
-                                  policy=self.policy, on_event=on_event)
+                                  self.classifier, policy=self.policy,
+                                  on_event=on_event)
 
         # Batches execute inside worker processes, which cannot reach the
         # parent's telemetry bus; their lifecycle events are synthesized here

@@ -104,33 +104,20 @@ def group_by_prefix(items: Sequence[WorkItem], *,
     return [PrefixFamily(key=key, items=tuple(buckets[key])) for key in order]
 
 
-def shard_families(families: Sequence[PrefixFamily], chunk_size: int = 1,
+def shard_families(families: Sequence[PrefixFamily],
                    min_shards: int = 1) -> List[Shard]:
-    """Turn pre-grouped prefix families into pool tasks.
+    """Turn pre-grouped prefix families into pool tasks, one per family.
 
     The pool hands tasks out in order over the family sequence, so one
-    worker owns a family end to end and pays its prefix once. ``chunk_size``
-    greater than one merges consecutive small families into one task until
-    the item count reaches it, trading checkpoint granularity for dispatch
-    overhead.
+    worker owns a family end to end and pays its prefix once.
 
-    ``min_shards`` (the worker count) guards against the opposite problem:
-    fewer families than workers would silently idle the surplus workers, so
-    the largest tasks are bisected until there are enough — a family slice
-    re-pays the prefix once per worker that got a piece, which is still far
-    cheaper than running a many-variant family serially.
+    ``min_shards`` (the worker count) keeps the pool busy: fewer families
+    than workers would silently idle the surplus workers, so the largest
+    tasks are bisected until there are enough — a family slice re-pays the
+    prefix once per worker that got a piece, which is still far cheaper than
+    running a many-variant family serially.
     """
-    if chunk_size <= 0:
-        raise CampaignError(f"chunk size must be positive, got {chunk_size}")
-    tasks: List[List[WorkItem]] = []
-    current: List[WorkItem] = []
-    for family in families:
-        current.extend(family.items)
-        if len(current) >= chunk_size:
-            tasks.append(current)
-            current = []
-    if current:
-        tasks.append(current)
+    tasks = [list(family.items) for family in families]
     while tasks and len(tasks) < min_shards:
         largest = max(range(len(tasks)), key=lambda index: len(tasks[index]))
         task = tasks[largest]
@@ -229,43 +216,3 @@ def plan_shards(plan: TestPlan, *, shard_size: int,
     if current:
         close(current)
     return shards
-
-
-def normalize_chunk_size(value) -> "int | str | None":
-    """Validate a chunk-size selector and return it unchanged.
-
-    The one rule every front-end shares: ``None`` (engine default of one
-    experiment per task), a positive ``int``, or the string ``"auto"``
-    (sized from the queue via :func:`suggest_chunk_size`). Anything else —
-    including ``bool``, which is an ``int`` subclass — raises
-    :class:`~repro.errors.CampaignError`; callers with their own error
-    vocabulary (config files, CLI) re-wrap it.
-    """
-    if value is None or value == "auto":
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CampaignError(
-            f"chunk size must be a positive integer or 'auto', got {value!r}"
-        )
-    if value <= 0:
-        raise CampaignError(
-            f"chunk size must be positive (or 'auto'), got {value}"
-        )
-    return value
-
-
-def suggest_chunk_size(num_items: int, jobs: int) -> int:
-    """Pick a per-task item count for *very short* experiments (opt-in).
-
-    The engine defaults to one item per pool task so every completed
-    experiment checkpoints and streams immediately — right for the paper's
-    minute-long tests. When experiments are milliseconds (simulation sweeps,
-    benchmarks), dispatch overhead dominates; this heuristic aims for several
-    tasks per worker (so the pool stays busy near the end of the campaign)
-    while capping at 8 items per task so checkpointing never gets too coarse.
-    Pass the result as ``chunk_size`` explicitly.
-    """
-    if num_items <= 0 or jobs <= 0:
-        return 1
-    per_worker = num_items / (jobs * 4)
-    return max(1, min(8, int(per_worker)))

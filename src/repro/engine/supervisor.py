@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import pickle
+import os
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Callable,
     Deque,
@@ -57,6 +56,7 @@ from typing import (
 
 from repro.core.experiment import ExperimentResult
 from repro.core.outcomes import Outcome
+from repro.core.policy import RunPolicy
 from repro.engine.scheduler import Shard, WorkItem
 from repro.errors import CampaignError
 
@@ -64,59 +64,8 @@ from repro.errors import CampaignError
 #: process before the related result (if any) is yielded downstream.
 EventCallback = Callable[..., None]
 
-#: Default campaign-wide budget of unexpected worker respawns.
-DEFAULT_MAX_WORKER_RESTARTS = 8
-
-#: Default number of additional attempts before a failing spec is quarantined.
-DEFAULT_RETRIES = 1
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """Fault-tolerance policy for campaign execution.
-
-    ``retries`` is the number of *additional* attempts a spec gets after its
-    first failure (crash, hang, or in-experiment exception) before it is
-    quarantined; retried specs re-run with their original seed, so a retry
-    that succeeds is bit-identical to a run that never failed.
-
-    ``fail_fast`` restores the pre-supervision library semantics: worker
-    exceptions propagate to the caller with their original type and exhausted
-    crash/timeout retries raise :class:`~repro.errors.CampaignError` instead
-    of quarantining. The CLI never sets it; ``CampaignEngine`` uses it when
-    the caller asked for no policy at all.
-    """
-
-    timeout_s: Optional[float] = None
-    retries: int = DEFAULT_RETRIES
-    backoff_s: float = 0.25
-    backoff_cap_s: float = 5.0
-    max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS
-    fail_fast: bool = False
-    poll_s: float = 0.05
-    shutdown_grace_s: float = 5.0
-
-    def validate(self) -> "RunPolicy":
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise CampaignError(
-                f"timeout must be positive, got {self.timeout_s}")
-        if self.retries < 0:
-            raise CampaignError(
-                f"retries must be >= 0, got {self.retries}")
-        if self.max_worker_restarts < 0:
-            raise CampaignError(
-                f"max worker restarts must be >= 0, "
-                f"got {self.max_worker_restarts}")
-        if self.backoff_s < 0:
-            raise CampaignError(
-                f"retry backoff must be >= 0, got {self.backoff_s}")
-        return self
-
-
-#: Policy reproducing the pre-supervision engine contract: no timeouts, no
-#: retries, exceptions propagate. Worker *deaths* are still survived (they
-#: used to wedge the pool) up to the restart budget.
-LEGACY_POLICY = RunPolicy(timeout_s=None, retries=0, fail_fast=True)
+#: How often an idle worker checks that its parent is still alive.
+_PARENT_CHECK_S = 0.5
 
 
 def infra_result(spec, outcome: Outcome, *, attempts: int,
@@ -153,16 +102,7 @@ def infra_result(spec, outcome: Outcome, *, attempts: int,
     )
 
 
-def _sendable_error(exc: BaseException) -> BaseException:
-    """Return ``exc`` if it survives pickling, else a portable stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return CampaignError(f"{type(exc).__name__}: {exc}")
-
-
-def _supervised_worker(conn, init_args: tuple) -> None:
+def _supervised_worker(conn, init_args: tuple, parent_pid: int) -> None:
     """Worker process main loop: run shards received over the pipe.
 
     Each shard runs through the worker's own
@@ -171,11 +111,16 @@ def _supervised_worker(conn, init_args: tuple) -> None:
     lockstep batch (heartbeat + timeout anchor; a batch is announced by its
     first lane, which is then its crash/timeout victim while the other lanes
     are requeued innocent), ``("done_item", shard_id, index, result)`` /
-    ``("error_item", shard_id, index, exc)`` per experiment, and
+    ``("error_item", shard_id, index, error_text)`` per experiment, and
     ``("done_shard", shard_id)`` when the shard is exhausted, at which point
     the worker is idle and waits for the next ``("task", ...)`` or
     ``("stop",)``. A failed batch resets the executor and re-runs its
     members scalar, so retries and quarantine stay per experiment.
+
+    A worker whose parent dies (SIGKILL) returns instead of waiting forever:
+    under ``fork`` it and its siblings hold copies of the parent's pipe
+    ends, so ``recv`` would never see EOF. It checks ``os.getppid()``
+    against ``parent_pid`` while idle and before every step.
     """
     # Imported here, not at module top: workers.py imports this module.
     from repro.engine.workers import FamilyExecutor
@@ -183,6 +128,9 @@ def _supervised_worker(conn, init_args: tuple) -> None:
     try:
         while True:
             try:
+                while not conn.poll(_PARENT_CHECK_S):
+                    if os.getppid() != parent_pid:
+                        return
                 message = conn.recv()
             except (EOFError, OSError):
                 return
@@ -190,6 +138,8 @@ def _supervised_worker(conn, init_args: tuple) -> None:
                 return
             _, shard_id, items = message
             for family, step in executor.steps(items):
+                if os.getppid() != parent_pid:
+                    return
                 if len(step) > 1:
                     conn.send(("start", shard_id, step[0].index))
                     results = executor.try_batch(family, step)
@@ -205,7 +155,7 @@ def _supervised_worker(conn, init_args: tuple) -> None:
                     except Exception as exc:  # noqa: BLE001 - forwarded
                         executor.reset()
                         conn.send(("error_item", shard_id, item.index,
-                                   _sendable_error(exc)))
+                                   f"{type(exc).__name__}: {exc}"))
             conn.send(("done_shard", shard_id))
     except (BrokenPipeError, OSError):
         return                           # parent went away: just exit
@@ -222,8 +172,8 @@ class _Worker:
     def __init__(self, context, init_args: tuple) -> None:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         self.process = context.Process(
-            target=_supervised_worker, args=(child_conn, init_args),
-            daemon=True)
+            target=_supervised_worker,
+            args=(child_conn, init_args, os.getpid()), daemon=True)
         self.process.start()
         # Close our copy of the child's end so its EOF is observable. (Under
         # fork, siblings spawned later still inherit copies of this end, so
@@ -278,7 +228,7 @@ class SupervisedPool:
                  init_args: tuple,
                  policy: RunPolicy,
                  on_event: Optional[EventCallback] = None) -> None:
-        self.policy = policy.validate()
+        self.policy = policy
         self.context = context
         self.init_args = init_args
         self.on_event = on_event
@@ -325,11 +275,6 @@ class SupervisedPool:
             self._delayed.append((time.monotonic() + delay,
                                   self._new_shard_id(), (item,)))
             return
-        if self.policy.fail_fast:
-            raise CampaignError(
-                f"experiment {item.spec.name!r} {reason} "
-                f"({attempts} attempt(s), last error: {error}); "
-                f"pass retries/timeout to quarantine instead of aborting")
         outcome = (Outcome.INFRA_TIMEOUT if reason == "timeout"
                    else Outcome.INFRA_CRASH)
         self._emit("spec_quarantined", spec=item.spec.name, index=item.index,
@@ -362,12 +307,7 @@ class SupervisedPool:
             item = worker.items_by_index.get(index)
             if index in self._done or item is None:
                 return
-            if self.policy.fail_fast:
-                if isinstance(error, BaseException):
-                    raise error
-                raise CampaignError(str(error))
-            self._register_failure(item, "error",
-                                   f"{type(error).__name__}: {error}", out)
+            self._register_failure(item, "error", error, out)
         elif kind == "done_shard":
             worker.shard_id = None
             worker.items_by_index = {}

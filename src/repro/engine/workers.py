@@ -20,11 +20,12 @@ Two backends drive the same executor:
   ``fork`` start method (cheap on Linux, and it lets custom ``sut_factory``
   closures cross into workers without pickling) and falls back to ``spawn``.
 
-Both accept a :class:`~repro.engine.supervisor.RunPolicy`: per-experiment
-wall-clock timeouts, retry with exponential backoff, and poison-spec
-quarantine. The pool enforces the timeout by SIGKILLing the worker from the
-parent watchdog; the serial path arms ``SIGALRM`` around each experiment
-(main thread only — elsewhere the serial timeout is silently unavailable).
+Both supervise under a :class:`~repro.core.policy.RunPolicy` (default
+``RunPolicy()``): per-experiment wall-clock timeouts, retry with exponential
+backoff, and poison-spec quarantine. The pool enforces the timeout by
+SIGKILLing the worker from the parent watchdog; the serial path arms
+``SIGALRM`` around each experiment (main thread only — elsewhere the serial
+timeout is silently unavailable).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.core.experiment import (
     default_sut_factory,
 )
 from repro.core.outcomes import Outcome, OutcomeClassifier
+from repro.core.policy import RunPolicy
 from repro.core.registry import resolve_sut_factory
 from repro.engine.batch import (
     BATCH_SIZE,
@@ -59,13 +61,7 @@ from repro.engine.scheduler import (
     plan_family_batches,
     shard_families,
 )
-from repro.engine.supervisor import (
-    LEGACY_POLICY,
-    EventCallback,
-    RunPolicy,
-    SupervisedPool,
-    infra_result,
-)
+from repro.engine.supervisor import EventCallback, SupervisedPool, infra_result
 from repro.errors import CampaignError
 
 #: One streamed unit of completed work: (position in the plan, its result).
@@ -346,9 +342,8 @@ def _run_item_with_policy(executor: FamilyExecutor, family: PrefixFamily,
     """Serial counterpart of the pool's supervision: timeout/retry/quarantine.
 
     Retries re-run with the original seed, so a retry that succeeds returns
-    the exact result an unfaulted run would have; exhausted budgets either
-    quarantine (synthesized infrastructure result) or, under ``fail_fast``,
-    raise like the engine always did.
+    the exact result an unfaulted run would have; an exhausted budget
+    quarantines the spec (synthesized infrastructure result).
     """
     attempts = 0
     while True:
@@ -364,8 +359,6 @@ def _run_item_with_policy(executor: FamilyExecutor, family: PrefixFamily,
                   index=item.index, timeout_s=policy.timeout_s,
                   attempt=attempts, worker=os.getpid())
         except Exception as exc:  # noqa: BLE001 - policy decides the fate
-            if policy.fail_fast:
-                raise
             reason = "error"
             error = f"{type(exc).__name__}: {exc}"
         executor.reset()
@@ -377,10 +370,6 @@ def _run_item_with_policy(executor: FamilyExecutor, family: PrefixFamily,
                   delay_s=delay, error=error)
             time.sleep(delay)
             continue
-        if policy.fail_fast:
-            raise CampaignError(
-                f"experiment {item.spec.name!r} {reason} "
-                f"({attempts} attempt(s), last error: {error})")
         outcome = (Outcome.INFRA_TIMEOUT if reason == "timeout"
                    else Outcome.INFRA_CRASH)
         _emit(on_event, "spec_quarantined", spec=item.spec.name,
@@ -413,7 +402,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 def execute_serial(items: Sequence[WorkItem],
                    sut_factory: "SutFactory | str" = default_sut_factory,
                    classifier: Optional[OutcomeClassifier] = None,
-                   policy: Optional[RunPolicy] = None,
+                   policy: RunPolicy = RunPolicy(),
                    on_event: Optional[EventCallback] = None,
                    ) -> Iterator[IndexedResult]:
     """Run every item in this process (the ``jobs=1`` backend).
@@ -421,53 +410,42 @@ def execute_serial(items: Sequence[WorkItem],
     The queue runs family-contiguously through a :class:`FamilyExecutor`
     (results carry their plan index, so consumers are order-agnostic).
 
-    A ``policy`` adds the serial flavour of supervision: a ``SIGALRM``
-    deadline per experiment, retries with backoff, and quarantine with
-    synthesized infrastructure results. A lockstep batch does the work of
-    all its lanes in one pass, so its deadline is ``timeout_s`` per lane; a
-    batch that fails re-runs its members through that per-item supervision.
-    ``None`` keeps the historical contract — exceptions propagate, nothing
-    times out.
+    ``policy`` is the serial flavour of supervision: a ``SIGALRM`` deadline
+    per experiment, retries with backoff, and quarantine with synthesized
+    infrastructure results. A lockstep batch does the work of all its lanes
+    in one pass, so its deadline is ``timeout_s`` per lane; a batch that
+    fails re-runs its members through that per-item supervision.
     """
     executor = FamilyExecutor(sut_factory, classifier)
-    if policy is not None:
-        policy.validate()
     for family, step in executor.steps(items):
         if len(step) > 1:
             timeout_s = (policy.timeout_s * len(step)
-                         if policy is not None and policy.timeout_s else None)
+                         if policy.timeout_s else None)
             results = executor.try_batch(family, step, timeout_s)
             if results is not None:
                 yield from results
                 continue
         for item in step:
-            if policy is None:
-                yield executor.run_item(family, item)
-            else:
-                yield _run_item_with_policy(executor, family, item, policy,
-                                            on_event)
+            yield _run_item_with_policy(executor, family, item, policy,
+                                        on_event)
 
 
 def execute_pool(items: Sequence[WorkItem],
                  jobs: int,
                  sut_factory: "SutFactory | str" = default_sut_factory,
                  classifier: Optional[OutcomeClassifier] = None,
-                 chunk_size: Optional[int] = None,
-                 policy: Optional[RunPolicy] = None,
+                 policy: RunPolicy = RunPolicy(),
                  on_event: Optional[EventCallback] = None,
                  ) -> Iterator[IndexedResult]:
     """Run items across ``jobs`` supervised worker processes, streaming.
 
     Results are yielded as experiments finish (arbitrary order); callers that
-    need plan order re-assemble by index. Execution is supervised
-    (:class:`~repro.engine.supervisor.SupervisedPool`): each worker owns a
-    private pipe, dead workers are respawned with their untouched shard
-    requeued, hung experiments are killed by the parent watchdog, and specs
-    that fail every retry are quarantined with a synthesized infrastructure
-    result. With ``policy=None`` the historical library contract holds —
-    exceptions propagate and nothing times out — while worker deaths, which
-    previously wedged the pool forever, are still survived up to the default
-    restart budget.
+    need plan order re-assemble by index. Execution is supervised under
+    ``policy`` (:class:`~repro.engine.supervisor.SupervisedPool`): each
+    worker owns a private pipe, dead workers are respawned with their
+    untouched shard requeued, hung experiments are killed by the parent
+    watchdog, and specs that fail every retry are quarantined with a
+    synthesized infrastructure result.
 
     On clean exhaustion workers are asked to stop and joined; an early exit
     or exception kills busy workers instead, so a consumer that stops
@@ -475,17 +453,12 @@ def execute_pool(items: Sequence[WorkItem],
     semaphores are left for the resource tracker to complain about — every
     worker's pipe dies with its two endpoints).
 
-    The queue is sharded into whole prefix families
+    Each pool task is one prefix family
     (:func:`~repro.engine.scheduler.shard_families`), so the worker that
     pulls a family pays its prefix once and runs it through its own
-    :class:`FamilyExecutor`. ``chunk_size`` (default 1) merges consecutive
-    small families into one task until it holds that many experiments; pass
-    a larger value (see :func:`~repro.engine.scheduler.suggest_chunk_size`)
-    only when experiments are so short that per-task dispatch overhead
-    dominates. A family is one task, so streaming (and checkpoint)
-    granularity is the family — a run killed mid-family re-executes that
-    family's completed members on resume. A retried spec re-runs as a
-    singleton shard.
+    :class:`FamilyExecutor`. Streaming (and checkpoint) granularity is the
+    family — a run killed mid-family re-executes that family's completed
+    members on resume. A retried spec re-runs as a singleton shard.
     """
     jobs = resolve_jobs(jobs)
     sut_factory = resolve_sut_factory(sut_factory)
@@ -498,11 +471,11 @@ def execute_pool(items: Sequence[WorkItem],
     # workers: oversized families are sliced, each slice re-paying the
     # prefix once in its worker.
     pool = SupervisedPool(
-        shard_families(families, chunk_size or 1, min_shards=jobs),
+        shard_families(families, min_shards=jobs),
         jobs=jobs,
         context=_pool_context(),
         init_args=(sut_factory, classifier),
-        policy=policy or LEGACY_POLICY,
+        policy=policy,
         on_event=on_event,
     )
     yield from pool.run()

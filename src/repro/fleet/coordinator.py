@@ -311,23 +311,15 @@ class FleetCoordinator:
                        from_host=stolen_from, to_host=lease.host)
         self._emit("lease_granted", host=lease.host, shard=lease.shard_id,
                    campaign=lease.campaign_id, specs=len(shard))
-        config = entry.config
         return envelope(lease={
             "lease_id": lease.lease_id,
             "shard_id": lease.shard_id,
             "campaign_id": lease.campaign_id,
-            "config": config.to_dict(),
+            "config": entry.config.to_dict(),
             "spec_ids": list(shard.spec_ids),
             "spec_names": list(shard.spec_names),
             "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_interval_s": self.heartbeat_interval_s,
-            # Engine options the config carries; worker-side flags override.
-            "engine": {
-                "chunk_size": config.chunk_size,
-                "timeout_s": config.timeout_s,
-                "retries": config.retries,
-                "max_worker_restarts": config.max_worker_restarts,
-            },
             "stolen_from": stolen_from,
         })
 

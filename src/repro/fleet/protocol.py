@@ -17,8 +17,9 @@ Endpoints (all under the coordinator's HTTP server):
 ``POST /fleet/lease``
     ``{host_id}`` → ``{lease}`` with ``lease_id``, ``shard_id``,
     ``campaign_id``, the campaign ``config`` (the declarative TOML/JSON dict
-    — the PR-3 layer is the wire format), the shard's ``spec_ids`` and
-    engine options; or ``{lease: null, state}`` where ``state`` is ``wait``
+    is the wire format; it also carries the campaign's supervision policy)
+    and the shard's ``spec_ids``; or ``{lease: null, state}`` where
+    ``state`` is ``wait``
     (no work *right now*: everything is leased out or backing off) or
     ``done`` (every submitted campaign is complete).
 ``POST /fleet/heartbeat``
@@ -176,7 +177,7 @@ class FleetClient:
         if response.get("lease") is not None:
             require_fields(response["lease"],
                            ["lease_id", "shard_id", "campaign_id", "config",
-                            "spec_ids", "engine"],
+                            "spec_ids"],
                            context="lease response")
         return response
 

@@ -2,13 +2,16 @@
 
 A worker agent joins a coordinator, pulls shard leases, runs each shard
 through the exact same :class:`~repro.engine.runner.CampaignEngine` a
-single-host campaign uses (``--jobs``, ``--chunk-size``, ``--timeout``,
-``--retries`` all compose unchanged — the fleet adds a layer *above* the
-engine, not a different engine), and submits the resulting records back.
-Because leases carry the campaign's declarative
-config dict and the compiled plan is deterministic, every worker derives the
-exact same spec identities from the same wire bytes — that is what makes
-idempotent, identity-keyed result merging possible.
+single-host campaign uses (``--jobs`` and the supervision flags compose
+unchanged — the fleet adds a layer *above* the engine, not a different
+engine), and submits the resulting records back. Because leases carry the
+campaign's declarative config dict and the compiled plan is deterministic,
+every worker derives the exact same spec identities from the same wire
+bytes — that is what makes idempotent, identity-keyed result merging
+possible. The same config carries the campaign's
+:class:`~repro.core.policy.RunPolicy`, so a spec that crashes or hangs is
+retried and then submitted as an ``infra_*`` record, exactly as in a
+single-host run; it never takes the worker down.
 
 Failure behavior, by design:
 
@@ -43,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CampaignConfig
 from repro.core.plan import TestPlan
+from repro.core.policy import RunPolicy
 from repro.core.recording import ExperimentRecord
 from repro.engine.runner import CampaignEngine
 from repro.errors import (
@@ -63,21 +67,24 @@ def default_host_name() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
+def _as_configured(policy: RunPolicy) -> RunPolicy:
+    return policy
+
+
 class FleetWorkerAgent:
     """One worker: join, lease, execute, submit — until done or told to stop.
 
-    Engine options default to whatever the campaign config (relayed in each
-    lease) asks for; constructor arguments override per-worker, exactly like
-    CLI flags override a config in a single-host run.
+    Each shard runs under the policy of the campaign config its lease
+    carries, passed through ``policy``: a function from that policy to the
+    one to run. The default keeps it; ``repro-fi fleet-worker`` applies its
+    ``--timeout``/``--retries``/``--max-worker-restarts`` flags there,
+    exactly like CLI flags override a config in a single-host run.
     """
 
     def __init__(self, base_url: str, *,
                  host: Optional[str] = None,
                  jobs: int = 1,
-                 chunk_size: "int | str | None" = None,
-                 timeout_s: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 max_worker_restarts: Optional[int] = None,
+                 policy: Callable[[RunPolicy], RunPolicy] = _as_configured,
                  sut: Optional[str] = None,
                  poll_s: float = 1.0,
                  offline_grace_s: float = 60.0,
@@ -88,10 +95,7 @@ class FleetWorkerAgent:
         self.client = client if client is not None else FleetClient(base_url)
         self.host = host or default_host_name()
         self.jobs = jobs
-        self.chunk_size = chunk_size
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.max_worker_restarts = max_worker_restarts
+        self.policy = policy
         self.sut = sut
         self.poll_s = poll_s
         self.offline_grace_s = offline_grace_s
@@ -187,9 +191,6 @@ class FleetWorkerAgent:
         self._campaigns[campaign_id] = (config, by_identity)
         return self._campaigns[campaign_id]
 
-    def _pick(self, ours, config_value):
-        return ours if ours is not None else config_value
-
     def _execute(self, lease: dict) -> List[dict]:
         """Run one leased shard through the engine; returns record dicts."""
         campaign_id = lease["campaign_id"]
@@ -209,7 +210,6 @@ class FleetWorkerAgent:
         identity_by_name = {spec.name: identity
                             for spec, identity in zip(specs,
                                                       lease["spec_ids"])}
-        engine_opts = lease.get("engine") or {}
         lease_id = lease["lease_id"]
         with self._progress_lock:
             self._progress[lease_id] = 0
@@ -225,14 +225,7 @@ class FleetWorkerAgent:
                 jobs=self.jobs,
                 sut_factory=config.sut_factory(override=self.sut),
                 classifier=config.build_classifier(),
-                chunk_size=self._pick(self.chunk_size,
-                                      engine_opts.get("chunk_size")),
-                timeout_s=self._pick(self.timeout_s,
-                                     engine_opts.get("timeout_s")),
-                retries=self._pick(self.retries, engine_opts.get("retries")),
-                max_worker_restarts=self._pick(
-                    self.max_worker_restarts,
-                    engine_opts.get("max_worker_restarts")),
+                policy=self.policy(config.policy),
                 progress=progress,
             )
             result = engine.run()

@@ -23,6 +23,7 @@ from repro.core.config import (
     catalog_keys,
 )
 from repro.core.experiment import Experiment
+from repro.core.policy import RunPolicy
 from repro.engine import workers
 from repro.engine.batch import (
     BatchDivergenceError,
@@ -147,7 +148,8 @@ class TestComposition:
         reference = _reference_lines(config, cold_reference)
         campaign = _campaign_for(config)
         for jobs in (1, 2):
-            supervised = campaign.run(jobs=jobs, timeout_s=300.0, retries=1)
+            supervised = campaign.run(
+                jobs=jobs, policy=RunPolicy(timeout_s=300.0, retries=1))
             assert _record_lines(supervised) == reference
             assert supervised.batch_stats()["batched"] == len(supervised)
 

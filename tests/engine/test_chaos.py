@@ -10,7 +10,8 @@ Two layers of violence:
 * **Parent chaos** — a real CLI campaign SIGKILLed mid-flight, then resumed
   with ``--resume``. The atomic checkpoint guarantees the surviving file is
   a valid prefix of the campaign: the resumed run completes with exactly one
-  record per spec, no losses, no duplicates.
+  record per spec, no losses, no duplicates. The killed campaign's pool
+  workers must not outlive it.
 """
 
 import os
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core.campaign import Campaign
 from repro.core.plan import paper_figure3_plan
+from repro.core.policy import RunPolicy
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.engine.runner import CampaignEngine
@@ -79,6 +81,33 @@ def record_lines(results):
             for result in results]
 
 
+def _stat_fields(pid):
+    """``/proc/<pid>/stat`` after the command name: state, ppid, ...
+
+    ``None`` once the process is gone (or on a platform without /proc).
+    """
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def children_of(pid):
+    """Pids of the live processes whose parent is ``pid``."""
+    children = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        fields = _stat_fields(entry.name)
+        if fields is not None and int(fields[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
+def gone_or_zombie(pid):
+    fields = _stat_fields(pid)
+    return fields is None or fields[0] == "Z"
+
+
 class TestWorkerChaos:
     def test_chaos_run_is_byte_identical_to_clean_run(self, tmp_path):
         plan = paper_figure3_plan(num_tests=10, duration=2.0)
@@ -91,7 +120,7 @@ class TestWorkerChaos:
 
         engine = CampaignEngine(
             plan, jobs=3, sut_factory=ChaosFactory(tmp_path),
-            timeout_s=2.0, retries=2,
+            policy=RunPolicy(timeout_s=2.0, retries=2),
         )
         chaotic = engine.run()
 
@@ -109,7 +138,7 @@ class TestWorkerChaos:
         (tmp_path / f"hang-{plan.specs[1].seed}").touch()
         engine = CampaignEngine(
             plan, jobs=1, sut_factory=ChaosFactory(tmp_path),
-            timeout_s=1.0, retries=2,
+            policy=RunPolicy(timeout_s=1.0, retries=2),
         )
         chaotic = engine.run()
         assert engine.infra_counts.get("experiment_timeout") == 1
@@ -132,6 +161,7 @@ class TestParentChaos:
         process = subprocess.Popen(command, env=env,
                                    stdout=subprocess.DEVNULL,
                                    stderr=subprocess.DEVNULL)
+        workers = []
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
@@ -145,8 +175,20 @@ class TestParentChaos:
                 pytest.fail("campaign never wrote its first records")
         finally:
             if process.poll() is None:
+                workers = children_of(process.pid)
                 process.send_signal(signal.SIGKILL)
             process.wait()
+
+        # The pool workers notice their parent is gone and exit instead of
+        # blocking forever on a pipe that never reaches EOF.
+        deadline = time.monotonic() + 10
+        while (time.monotonic() < deadline
+               and not all(gone_or_zombie(pid) for pid in workers)):
+            time.sleep(0.1)
+        orphans = [pid for pid in workers if not gone_or_zombie(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == [], f"workers outlived the killed campaign: {orphans}"
 
         completed = subprocess.run(command, env=env, capture_output=True,
                                    text=True, timeout=120)

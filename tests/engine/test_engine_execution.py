@@ -40,11 +40,6 @@ class TestParity:
         assert [r.outcome for r in delegated.results] == \
             [r.outcome for r in sequential.results]
 
-    def test_explicit_chunk_size_does_not_change_results(self, plan, sequential):
-        chunked = CampaignEngine(plan, jobs=2, chunk_size=3).run()
-        assert [r.outcome for r in chunked.results] == \
-            [r.outcome for r in sequential.results]
-
 
 class TestProgressAndAggregation:
     def test_progress_receives_monotonic_snapshots(self, plan):
@@ -65,11 +60,11 @@ class TestProgressAndAggregation:
         # The observability layer (telemetry, watch hub) rides this seam, so
         # a duplicate or dropped callback would corrupt every live metric:
         # each completed experiment must fire exactly one callback, in the
-        # parent process, regardless of worker count or chunking.
-        for jobs, chunk_size in ((2, 1), (2, 3), (4, "auto")):
+        # parent process, regardless of worker count.
+        for jobs in (2, 4):
             calls = []
             CampaignEngine(
-                plan, jobs=jobs, chunk_size=chunk_size,
+                plan, jobs=jobs,
                 progress=lambda snapshot, result: calls.append(
                     result.spec_name),
             ).run()

@@ -28,7 +28,6 @@ from repro.engine.scheduler import (
     shard_families,
 )
 from repro.engine.workers import FamilyExecutor
-from repro.errors import CampaignError
 
 
 def records_of(result):
@@ -158,26 +157,20 @@ class TestSchedulerFamilies:
 
     def test_shard_families_never_splits_a_family_by_default(self):
         families = group_by_prefix(self.queue())
-        shards = shard_families(families, 1)
+        shards = shard_families(families)
         assert [len(shard) for shard in shards] == [3, 3]
-        merged = shard_families(families, 4)
-        assert [len(shard) for shard in merged] == [6]
-
-    def test_shard_families_rejects_bad_chunk_size(self):
-        with pytest.raises(CampaignError):
-            shard_families(group_by_prefix(self.queue()), 0)
 
     def test_min_shards_splits_large_families_to_feed_the_pool(self):
         # 2 families of 3 but 4 workers: the largest tasks are bisected so
         # no worker idles; every item survives exactly once.
         queue = self.queue()
-        shards = shard_families(group_by_prefix(queue), 1, min_shards=4)
+        shards = shard_families(group_by_prefix(queue), min_shards=4)
         assert len(shards) == 4
         flattened = sorted(item.index for shard in shards
                            for item in shard.items)
         assert flattened == [item.index for item in queue]
         # Splitting stops when only singletons remain.
-        tiny = shard_families(group_by_prefix(queue[:2]), 1, min_shards=8)
+        tiny = shard_families(group_by_prefix(queue[:2]), min_shards=8)
         assert all(len(shard) == 1 for shard in tiny)
 
 
@@ -234,7 +227,7 @@ class TestSharedPrefixParity:
         # schedule still runs each family contiguously, one miss apiece.
         plan = shared_prefix_config(tests=3, variants=3).compile()
         reference = records_of(cold_reference(plan))
-        for kwargs in (dict(jobs=1), dict(jobs=2), dict(jobs=2, chunk_size=4)):
+        for kwargs in (dict(jobs=1), dict(jobs=2)):
             variant = CampaignEngine(plan, **kwargs).run()
             assert records_of(variant) == reference, kwargs
             assert variant.prefix_cache_stats()["misses"] >= 3, kwargs
@@ -334,16 +327,3 @@ class TestSharedPrefixParity:
         assert resumed.prefix_cache_stats() == {
             "hits": 0, "misses": 0, "uncached": 6
         }
-
-
-class TestEngineChunkSizeValidation:
-    def test_auto_is_accepted(self):
-        plan = paper_figure3_plan(num_tests=2, duration=2.0)
-        CampaignEngine(plan, chunk_size="auto")
-
-    def test_bad_values_are_rejected(self):
-        plan = paper_figure3_plan(num_tests=2, duration=2.0)
-        with pytest.raises(CampaignError):
-            CampaignEngine(plan, chunk_size="huge")
-        with pytest.raises(CampaignError):
-            CampaignEngine(plan, chunk_size=0)

@@ -9,9 +9,7 @@ from repro.engine.scheduler import (
     build_work_queue,
     group_by_prefix,
     shard_families,
-    suggest_chunk_size,
 )
-from repro.errors import CampaignError
 
 
 @pytest.fixture
@@ -35,20 +33,11 @@ class TestPoolSharding:
 
     def test_pool_sharding_is_deterministic(self, plan):
         families = group_by_prefix(build_work_queue(plan))
-        assert shard_families(families, 3) == shard_families(families, 3)
+        assert shard_families(families, min_shards=3) == \
+            shard_families(families, min_shards=3)
 
     def test_empty_queue_yields_no_shards(self):
-        assert shard_families([], 4) == []
-
-    def test_invalid_chunk_size_is_rejected(self, plan):
-        with pytest.raises(CampaignError):
-            shard_families(group_by_prefix(build_work_queue(plan)), 0)
-
-    def test_suggested_chunk_size_stays_fine_grained(self):
-        assert suggest_chunk_size(10, 4) == 1
-        assert suggest_chunk_size(0, 4) == 1
-        assert suggest_chunk_size(10_000, 4) == 8   # capped for checkpointing
-        assert suggest_chunk_size(64, 2) == 8
+        assert shard_families([], min_shards=4) == []
 
 
 def _one_family_plan(variants: int) -> TestPlan:
@@ -63,16 +52,16 @@ def _one_family_plan(variants: int) -> TestPlan:
 class TestFamilySharding:
     def test_empty_campaign_yields_no_shards(self):
         assert group_by_prefix([]) == []
-        assert shard_families([], 1) == []
-        assert shard_families([], 4, min_shards=8) == []
+        assert shard_families([]) == []
+        assert shard_families([], min_shards=8) == []
 
     def test_single_family_larger_than_chunk_stays_whole(self):
         queue = build_work_queue(_one_family_plan(6))
         families = group_by_prefix(queue)
         assert len(families) == 1
-        # chunk_size merges small families; it never splits one, because a
-        # split slice re-pays the family's prefix. Only min_shards does that.
-        shards = shard_families(families, 2, min_shards=1)
+        # A family is one task: a split slice would re-pay the family's
+        # prefix. Only min_shards splits one.
+        shards = shard_families(families, min_shards=1)
         assert len(shards) == 1
         assert [item.index for item in shards[0].items] == list(range(6))
 
@@ -84,7 +73,7 @@ class TestFamilySharding:
         families = group_by_prefix(queue)
         # Cold-boot opt-outs never share snapshots: one family per item.
         assert [len(family) for family in families] == [1] * 5
-        shards = shard_families(families, 1)
+        shards = shard_families(families)
         assert [len(shard) for shard in shards] == [1] * 5
         covered = sorted(item.index for shard in shards
                          for item in shard.items)
@@ -93,7 +82,7 @@ class TestFamilySharding:
     def test_min_shards_bisects_when_families_are_scarce(self):
         queue = build_work_queue(_one_family_plan(8))
         families = group_by_prefix(queue)
-        shards = shard_families(families, 1, min_shards=4)
+        shards = shard_families(families, min_shards=4)
         # One 8-variant family, four workers: bisected into four slices so
         # nobody idles; each slice keeps queue order and covers everything.
         assert len(shards) == 4
@@ -110,5 +99,5 @@ class TestFamilySharding:
         families = group_by_prefix(build_work_queue(plan))
         # Two singleton families cannot be split further than two shards, no
         # matter how many workers are waiting.
-        shards = shard_families(families, 1, min_shards=8)
+        shards = shard_families(families, min_shards=8)
         assert len(shards) == 2

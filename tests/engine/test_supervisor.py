@@ -2,9 +2,10 @@
 
 Covers both supervision backends — the serial ``SIGALRM`` path and the
 :class:`~repro.engine.supervisor.SupervisedPool` — plus the policy and
-quarantine-log plumbing around them. The scenarios injected here are the
-infrastructure faults the layer exists for: specs that hang forever, specs
-that raise, and specs that SIGKILL their own worker process.
+quarantine-log plumbing around them, and the default policy every entry
+point runs under. The scenarios injected here are the infrastructure faults
+the layer exists for: specs that hang forever, specs that raise, and specs
+that SIGKILL their own worker process.
 """
 
 import os
@@ -19,6 +20,7 @@ from repro.core.plan import paper_figure3_plan
 from repro.core.registry import RegistrySutFactory
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.engine.quarantine import QuarantineLog, default_quarantine_path
+from repro.engine.runner import CampaignEngine
 from repro.engine.scheduler import build_work_queue
 from repro.engine.supervisor import RunPolicy, infra_result
 from repro.engine.workers import execute_pool, execute_serial
@@ -113,7 +115,9 @@ def queue(plan):
 
 class TestRunPolicy:
     def test_defaults_validate(self):
-        RunPolicy().validate()
+        policy = RunPolicy()
+        assert (policy.timeout_s, policy.retries,
+                policy.max_worker_restarts) == (None, 1, 8)
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout_s": 0.0},
@@ -121,10 +125,12 @@ class TestRunPolicy:
         {"retries": -1},
         {"max_worker_restarts": -1},
         {"backoff_s": -0.1},
+        {"timeout_s": float("nan")},
+        {"timeout_s": float("inf")},
     ])
     def test_invalid_values_are_rejected(self, kwargs):
         with pytest.raises(CampaignError):
-            RunPolicy(**kwargs).validate()
+            RunPolicy(**kwargs)
 
 
 class TestInfraResult:
@@ -185,17 +191,6 @@ class TestSerialSupervision:
                {i: r.outcome for i, r in clean.items()}
         assert retried[2].injections == clean[2].injections
 
-    def test_fail_fast_propagates_the_original_exception(self, queue):
-        factory = FaultyFactory({queue[0].spec.seed: "raise"})
-        with pytest.raises(RuntimeError):
-            list(execute_serial(queue, factory,
-                                policy=fast_policy(retries=0, fail_fast=True)))
-
-    def test_no_policy_keeps_the_historical_contract(self, queue):
-        factory = FaultyFactory({queue[0].spec.seed: "raise"})
-        with pytest.raises(RuntimeError):
-            list(execute_serial(queue, factory))
-
 
 class TestPoolSupervision:
     def test_worker_crash_is_retried_then_quarantined(self, queue):
@@ -237,18 +232,41 @@ class TestPoolSupervision:
                 queue, jobs=2, sut_factory=factory,
                 policy=fast_policy(retries=0, max_worker_restarts=0)))
 
-    def test_legacy_path_survives_worker_death(self, queue):
-        # No policy: exceptions would propagate, but a SIGKILLed worker --
-        # which used to wedge the bare multiprocessing.Pool forever -- is
-        # respawned and the campaign aborts with a diagnosable error.
-        factory = FaultyFactory({queue[2].spec.seed: "kill"})
-        with pytest.raises(CampaignError, match="died"):
-            list(execute_pool(queue, jobs=2, sut_factory=factory))
 
-    def test_legacy_path_propagates_worker_exceptions(self, queue):
-        factory = FaultyFactory({queue[0].spec.seed: "raise"})
-        with pytest.raises(RuntimeError, match="synthetic fault"):
-            list(execute_pool(queue, jobs=2, sut_factory=factory))
+def _in_plan_order(stream):
+    indexed = dict(stream)
+    return [indexed[index] for index in sorted(indexed)]
+
+
+#: Every way to run a plan, each called without a policy argument.
+ENTRY_POINTS = {
+    "Campaign.run": lambda plan, factory:
+        Campaign(plan, sut_factory=factory).run().results,
+    "CampaignEngine.run": lambda plan, factory:
+        CampaignEngine(plan, sut_factory=factory).run().results,
+    "execute_serial": lambda plan, factory:
+        _in_plan_order(execute_serial(build_work_queue(plan), factory)),
+    "execute_pool": lambda plan, factory:
+        _in_plan_order(execute_pool(build_work_queue(plan), jobs=2,
+                                    sut_factory=factory)),
+}
+
+
+class TestDefaultPolicy:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_raising_spec_is_quarantined_after_one_retry(self, plan, entry):
+        # One policy for every caller: with no policy argument the library,
+        # serial and pool paths all run RunPolicy() -- one retry, then an
+        # infra_crash record -- instead of letting the exception escape.
+        factory = FaultyFactory({plan.specs[1].seed: "raise"})
+        results = ENTRY_POINTS[entry](plan, factory)
+        assert [result.spec_name for result in results] == \
+               [spec.name for spec in plan.specs]
+        assert [result.outcome.is_infrastructure for result in results] == \
+               [False, True, False, False]
+        assert results[1].outcome is Outcome.INFRA_CRASH
+        assert results[1].extras["infra_attempts"] == 2
+        assert "synthetic fault" in results[1].extras["infra_error"]
 
 
 class TestEngineQuarantineFlow:
@@ -259,7 +277,7 @@ class TestEngineQuarantineFlow:
         bad_seed = plan.specs[2].seed
         campaign.sut_factory = FaultyFactory({bad_seed: "raise"})
         result = campaign.run(jobs=1, checkpoint_path=str(checkpoint),
-                              resume=True, retries=1)
+                              resume=True)
         assert len(result.results) == 4
         assert [r.spec_name for r in result.quarantined()] == \
                [plan.specs[2].name]
@@ -274,7 +292,7 @@ class TestEngineQuarantineFlow:
         # healthy factory re-offers and re-executes exactly that spec.
         campaign.sut_factory = RegistrySutFactory("jailhouse")
         resumed = campaign.run(jobs=1, checkpoint_path=str(checkpoint),
-                               resume=True, retries=1)
+                               resume=True)
         assert len(resumed.results) == 4
         assert resumed.quarantined() == []
         assert QuarantineLog(quarantine_path).entries() == []

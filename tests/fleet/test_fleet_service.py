@@ -5,8 +5,9 @@ properties the fleet promises: the merged record store is byte-identical to
 a single-host run of the same campaign; submission is idempotent (dupes
 collapse, conflicts refuse); a worker whose coordinator restarted is told to
 rejoin rather than erroring; ``resume`` re-offers exactly the unfinished
-work; and the coordinator's telemetry events validate against the engine's
-own schema.
+work; the coordinator's telemetry events validate against the engine's
+own schema; and a spec that crashes its SUT becomes an ``infra_crash``
+record, never a dead worker.
 """
 
 import json
@@ -14,8 +15,11 @@ import threading
 
 import pytest
 
-from repro.core.config import catalog_config
+from repro.core.config import CampaignConfig, PartRef, catalog_config
+from repro.core.policy import RunPolicy
 from repro.core.recording import RecordStore
+from repro.core.registry import SUTS
+from repro.core.sut import JailhouseSUT, SutConfig
 from repro.engine.runner import CampaignEngine
 from repro.errors import FleetError
 from repro.fleet.coordinator import FleetCoordinator, FleetServer
@@ -151,6 +155,62 @@ class TestIdempotentSubmit:
         from repro.errors import FleetProtocolError
         with pytest.raises(FleetProtocolError, match="spec identity"):
             coordinator.handle_submit(message)
+
+
+class TestLeasePolicy:
+    def test_the_policy_travels_in_the_config_not_an_engine_dict(
+            self, tmp_path):
+        coordinator = FleetCoordinator(tmp_path / "state", shard_size=2)
+        cfg = config()
+        cfg.policy = RunPolicy(timeout_s=30.0, retries=3)
+        coordinator.submit(cfg)
+        host_id = coordinator.handle_join({"host": "unit", "pid": 1})["host_id"]
+        lease = coordinator.handle_lease({"host_id": host_id})["lease"]
+        assert "engine" not in lease
+        assert CampaignConfig.from_dict(lease["config"]).policy == cfg.policy
+
+
+class PoisonSut(JailhouseSUT):
+    """The paper's deployment, raising at setup for one marked seed."""
+
+    poison_seed = None
+
+    def setup(self):
+        if self.config.seed == self.poison_seed:
+            raise RuntimeError(f"poison spec (seed {self.config.seed})")
+        super().setup()
+
+
+@pytest.fixture
+def poison_sut():
+    """A test-only SUT registry key (registered once per process)."""
+    if "test-poison" not in SUTS:
+        SUTS.add("test-poison",
+                 lambda seed=0: PoisonSut(SutConfig(seed=seed)))
+    return "test-poison"
+
+
+class TestPoisonSpec:
+    def test_raising_spec_is_submitted_as_infra_crash(self, poison_sut,
+                                                      monkeypatch):
+        # A default agent runs the lease's config policy (RunPolicy(): one
+        # retry, then quarantine), so a spec whose SUT raises comes back as
+        # one infra_crash record instead of an exception that kills the
+        # worker and leaves the lease to expire onto the next host.
+        cfg = config()
+        cfg.sut = PartRef(poison_sut)
+        plan = cfg.compile()
+        monkeypatch.setattr(PoisonSut, "poison_seed", plan.specs[2].seed)
+        lease = {"lease_id": "l000001", "shard_id": "s0", "campaign_id": "c1",
+                 "config": cfg.to_dict(),
+                 "spec_ids": [spec.identity() for spec in plan]}
+        records = FleetWorkerAgent("http://127.0.0.1:1")._execute(lease)
+        assert [record["spec_name"] for record in records] == \
+               [spec.name for spec in plan]
+        outcomes = [record["outcome"] for record in records]
+        assert outcomes[2] == "infra_crash"
+        assert "infra_crash" not in outcomes[:2] + outcomes[3:]
+        assert records[2]["extras"]["spec_id"] == plan.specs[2].identity()
 
 
 class TestRejoin:
