@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -127,7 +127,9 @@ class ExperimentRecord:
     def from_json(cls, line: str) -> "ExperimentRecord":
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, and the integer-length limit and nesting
+            # depth the decoder enforces outside it.
             raise AnalysisError(f"malformed record line: {exc}") from exc
         if not isinstance(payload, dict):
             raise AnalysisError("record line does not contain a JSON object")
@@ -142,17 +144,23 @@ class ExperimentRecord:
                     f"supported version {RECORD_SCHEMA_VERSION}; this record "
                     f"was written by a newer repro and its fields could be "
                     f"misinterpreted — upgrade before analyzing it")
-        known = {name for name in cls.__dataclass_fields__ if name != "schema_version"}
-        unknown = set(payload) - known
+        unknown = payload.keys() - _RECORD_FIELDS
         if unknown:
             raise AnalysisError(f"record has unknown fields: {sorted(unknown)}")
-        missing = {
-            name for name in ("spec_name", "outcome", "injections", "seed")
-            if name not in payload
-        }
+        missing = _REQUIRED_FIELDS - payload.keys()
         if missing:
             raise AnalysisError(f"record is missing fields: {sorted(missing)}")
         return cls(**payload)
+
+
+#: Fields a record line may carry (``schema_version`` is popped first).
+_RECORD_FIELDS = frozenset(
+    name for name in ExperimentRecord.__dataclass_fields__
+    if name != "schema_version")
+#: Fields without a default: a line lacking any of them is malformed.
+_REQUIRED_FIELDS = frozenset(
+    name for name, spec in ExperimentRecord.__dataclass_fields__.items()
+    if spec.default is MISSING and spec.default_factory is MISSING)
 
 
 class RecordStore:
@@ -180,7 +188,7 @@ class RecordStore:
                 count += 1
         return count
 
-    def replace_all(self, records: Iterable[ExperimentRecord]) -> int:
+    def replace_all(self, records: Iterable["ExperimentRecord | str"]) -> int:
         """Atomically replace the store with exactly ``records``.
 
         Writes a sibling temp file, fsyncs it, and renames it over the store
@@ -188,13 +196,18 @@ class RecordStore:
         durable). A reader — or a resuming campaign — therefore sees either
         the complete old file or the complete new one, never a torn middle:
         this is what makes checkpoints crash-safe under SIGKILL.
+
+        A ``str`` item is a line :meth:`ExperimentRecord.to_json` already
+        produced; it is written as is (the checkpoint keeps those lines so
+        each flush does not serialize its whole record set again).
         """
         self._ensure_parent()
         tmp = self.path.with_name(self.path.name + ".tmp")
         count = 0
         with tmp.open("w", encoding="utf-8") as handle:
             for record in records:
-                handle.write(record.to_json() + "\n")
+                line = record if isinstance(record, str) else record.to_json()
+                handle.write(line + "\n")
                 count += 1
             handle.flush()
             os.fsync(handle.fileno())

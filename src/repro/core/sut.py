@@ -31,7 +31,7 @@ from repro.guests.freertos.workloads import build_paper_workload
 from repro.guests.linux import LinuxGuest
 from repro.hw.board import BananaPiBoard, BoardConfig
 from repro.hw.cpu import CpuState
-from repro.hypervisor.cell import LoadedImage
+from repro.hypervisor.cell import CellState, LoadedImage
 from repro.hypervisor.cli import JailhouseCli
 from repro.hypervisor.config import (
     bananapi_system_config,
@@ -40,6 +40,17 @@ from repro.hypervisor.config import (
 from repro.hypervisor.core import Hypervisor, HypervisorState
 from repro.hypervisor.handlers import TrapResult
 from repro.hypervisor.traps import TrapCode, encode_hsr
+
+# Enum members the step loop compares by identity, bound once: a class
+# attribute lookup on an enum costs several times a module global.
+_CPU_ONLINE = CpuState.ONLINE
+_CELL_RUNNING = CellState.RUNNING
+_CELL_LOCKED = CellState.RUNNING_LOCKED
+_GUEST_RUNNING = GuestState.RUNNING
+_HANDLED = TrapResult.HANDLED
+_PANICKED = HypervisorState.PANICKED
+#: Exception vector and HSR of each guest trap code, computed once.
+_TRAP_ENTRY = {trap: (trap.value, encode_hsr(trap)) for trap in TrapCode}
 
 
 @dataclass
@@ -346,10 +357,9 @@ class JailhouseSUT(SystemUnderTest):
             self._run_instrumented(steps, timestep, telemetry)
             return
         hypervisor = self.hypervisor
-        panicked_state = HypervisorState.PANICKED
         step = self._step
         for _ in range(steps):
-            if hypervisor.state is panicked_state:
+            if hypervisor.state is _PANICKED:
                 break
             step(timestep)
 
@@ -366,7 +376,6 @@ class JailhouseSUT(SystemUnderTest):
         from time import perf_counter
 
         hypervisor = self.hypervisor
-        panicked_state = HypervisorState.PANICKED
         step_elapsed = 0.0
         step_count = 0
         dispatch = {"elapsed": 0.0, "count": 0}
@@ -385,7 +394,7 @@ class JailhouseSUT(SystemUnderTest):
         self._dispatch_guest_event = timed_dispatch
         try:
             for _ in range(steps):
-                if hypervisor.state is panicked_state:
+                if hypervisor.state is _PANICKED:
                     break
                 started = perf_counter()
                 self._step(timestep)
@@ -402,39 +411,40 @@ class JailhouseSUT(SystemUnderTest):
                        count=dispatch["count"])
 
     def _step(self, dt: float) -> None:
-        # Hot path: attribute lookups hoisted, ``is_executing`` inlined as a
-        # state comparison — this runs 50 times per simulated second.
+        # Hot path, 50 times per simulated second: attribute lookups hoisted,
+        # states compared by identity against module-level enum members.
         board = self.board
         hypervisor = self.hypervisor
         handlers = hypervisor.handlers
         gic_pending = board.gic.pending_view()
-        online = CpuState.ONLINE
-        panicked_state = HypervisorState.PANICKED
         board.advance(dt)
         now = board.clock.now
         for cpu in board.cpus:
-            if cpu.state is not online:
+            if cpu.state is not _CPU_ONLINE:
                 continue
             cpu_id = cpu.cpu_id
             cell = hypervisor.cell_of_cpu(cpu_id)
-            if cell is None or not cell.state.is_running:
+            if cell is None:
+                continue
+            cell_state = cell.state
+            if cell_state is not _CELL_RUNNING and cell_state is not _CELL_LOCKED:
                 continue
             guest = cell.guest
-            if guest is None or guest.state is not GuestState.RUNNING:
+            if guest is None or guest.state is not _GUEST_RUNNING:
                 continue
             # Pending interrupts enter through irqchip_handle_irq().
             if gic_pending[cpu_id]:
                 context = cpu.enter_trap("irq", 0, timestamp=now)
                 result = handlers.irqchip_handle_irq(cpu, context)
-                if result is TrapResult.HANDLED:
+                if result is _HANDLED:
                     follow_up = guest.resume_from_trap(cpu_id, context)
                     if follow_up is not None:
                         self._dispatch_guest_event(cpu_id, guest, follow_up, depth=1)
-                if hypervisor.state is panicked_state or cpu.state is not online:
+                if hypervisor.state is _PANICKED or cpu.state is not _CPU_ONLINE:
                     continue
             # Workload-generated VM exits enter through arch_handle_trap()/hvc().
             for event in guest.step(cpu_id, now, dt):
-                if hypervisor.state is panicked_state or cpu.state is not online:
+                if hypervisor.state is _PANICKED or cpu.state is not _CPU_ONLINE:
                     break
                 self._dispatch_guest_event(cpu_id, guest, event, depth=0)
 
@@ -442,18 +452,17 @@ class JailhouseSUT(SystemUnderTest):
                               event: GuestEvent, *, depth: int) -> None:
         if depth > self.config.max_resume_faults_per_step:
             return
-        cpu = self.board.cpu(cpu_id)
-        if not cpu.is_executing:
+        board = self.board
+        cpu = board.cpus[cpu_id]
+        if cpu.state is not _CPU_ONLINE:
             return
         guest.place_registers(cpu_id, event.registers)
-        context = cpu.enter_trap(
-            event.trap.value, encode_hsr(event.trap),
-            timestamp=self.board.clock.now,
-        )
+        vector, hsr = _TRAP_ENTRY[event.trap]
+        context = cpu.enter_trap(vector, hsr, timestamp=board.clock.now)
         result = self.hypervisor.handlers.arch_handle_trap(
             cpu, context, fault_address=event.fault_address
         )
-        if result is not TrapResult.HANDLED:
+        if result is not _HANDLED:
             return
         follow_up = guest.resume_from_trap(cpu_id, context)
         if follow_up is not None:

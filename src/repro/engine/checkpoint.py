@@ -69,6 +69,9 @@ class Checkpoint:
         # flush happens one full interval in, not on the first commit.
         self._last_flush = time.monotonic()
         self._records: List[ExperimentRecord] = []
+        #: ``_records[i].to_json()``, serialized once when the record was
+        #: committed or loaded: every flush rewrites the whole file.
+        self._lines: List[str] = []
         self._records_by_id: Dict[str, ExperimentRecord] = {}
         self._records_by_triple: Dict[_Triple, ExperimentRecord] = {}
 
@@ -109,14 +112,17 @@ class Checkpoint:
                     torn_tail = True
                 else:
                     raise
+        lines = [record.to_json() for record in records]
         if torn_tail:
-            self.store.replace_all(records)
-        for record in records:
-            self._remember(record)
+            self.store.replace_all(lines)
+        for record, line in zip(records, lines):
+            self._remember(record, line)
         return len(records)
 
-    def _remember(self, record: ExperimentRecord) -> None:
+    def _remember(self, record: ExperimentRecord,
+                  line: Optional[str] = None) -> None:
         self._records.append(record)
+        self._lines.append(record.to_json() if line is None else line)
         spec_id = record.spec_id
         if spec_id is not None:
             self._records_by_id[spec_id] = record
@@ -127,6 +133,7 @@ class Checkpoint:
         """Truncate the checkpoint file (fresh, non-resumed run)."""
         self.store.replace_all([])
         self._records.clear()
+        self._lines.clear()
         self._records_by_id.clear()
         self._records_by_triple.clear()
         self._dirty = False
@@ -151,14 +158,16 @@ class Checkpoint:
             if record is not None:
                 resumable[(record.spec_name, record.seed,
                            record.scenario)] = record
-        kept = [
-            record for record in self._records
+        keep = [
+            index for index, record in enumerate(self._records)
             if resumable.get((record.spec_name, record.seed,
                               record.scenario)) is record
         ]
-        removed = len(self._records) - len(kept)
+        removed = len(self._records) - len(keep)
         if removed:
+            kept = [self._records[index] for index in keep]
             self._records = kept
+            self._lines = [self._lines[index] for index in keep]
             self._records_by_id = {
                 record.spec_id: record for record in kept
                 if record.spec_id is not None
@@ -167,7 +176,7 @@ class Checkpoint:
                 (record.spec_name, record.seed, record.scenario): record
                 for record in kept
             }
-            self.store.replace_all(kept)
+            self.store.replace_all(self._lines)
         return removed
 
     # -- queries ------------------------------------------------------------------------
@@ -280,6 +289,7 @@ class Checkpoint:
         replace_all` temp-file + fsync + rename path every other flush uses.
         """
         self._records = list(records)
+        self._lines = [record.to_json() for record in self._records]
         self._records_by_id = {
             record.spec_id: record for record in self._records
             if record.spec_id is not None
@@ -289,7 +299,7 @@ class Checkpoint:
             for record in self._records
         }
         self._last_flush = time.monotonic()
-        self.store.replace_all(self._records)
+        self.store.replace_all(self._lines)
         self._dirty = False
         self.flushes += 1
 
@@ -304,12 +314,14 @@ class Checkpoint:
         The whole record set is rewritten through
         :meth:`~repro.core.recording.RecordStore.replace_all` (temp file +
         fsync + rename), so a crash — even SIGKILL — at any instant leaves
-        either the previous complete checkpoint or the new one on disk.
+        either the previous complete checkpoint or the new one on disk. The
+        lines cached at commit time are written, so a flush serializes
+        nothing.
         """
         self._last_flush = time.monotonic()
         if not self._dirty:
             return False
-        self.store.replace_all(self._records)
+        self.store.replace_all(self._lines)
         self._dirty = False
         self.flushes += 1
         return True

@@ -25,6 +25,7 @@ import abc
 import copy
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -42,6 +43,15 @@ DEFAULT_STACK_USE_PROBABILITY = 0.35
 #: Probability that the running task returns through a corrupted link register
 #: before overwriting it with a new call.
 DEFAULT_LINK_RETURN_PROBABILITY = 0.10
+
+_UINT32_SPAN = 1 << 32
+
+# Bound once for the per-step paths: on CPython 3.11 an enum class attribute
+# lookup costs several times a module global.
+_PC = Register.PC
+_SP = Register.SP
+_LR = Register.LR
+_WRITE = AccessType.WRITE
 
 
 class GuestState(enum.Enum):
@@ -120,6 +130,64 @@ class GuestOS(abc.ABC):
     def alive(self) -> bool:
         return self.state is GuestState.RUNNING
 
+    # -- random draws -------------------------------------------------------------------
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The guest's random stream; every workload draw comes from it."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, generator: np.random.Generator) -> None:
+        # Bind the C entry points of the generator's bit generator once. The
+        # state address they take stays valid while ``self._rng`` holds the
+        # generator, and restoring ``bit_generator.state`` rewrites that
+        # state in place; only a new generator, assigned here, rebinds them.
+        self._rng = generator
+        handles = generator.bit_generator.ctypes
+        #: ``self._random()`` is ``self.rng.random()``: the same draw from
+        #: the same C function, without numpy's Python-level wrapper.
+        self._random = functools.partial(handles.next_double,
+                                         handles.state_address)
+        self._next_uint32 = functools.partial(handles.next_uint32,
+                                              handles.state_address)
+
+    def __getstate__(self) -> dict:
+        # The C bindings are not copyable; a copy rebinds its own generator.
+        state = self.__dict__.copy()
+        del state["_random"], state["_next_uint32"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.rng = self._rng
+
+    def _integers(self, low: int, high: int) -> int:
+        """``int(self.rng.integers(low, high))`` for ``1 <= high - low <= 2**32``.
+
+        Reproduces numpy's bounded-integer rule for the default int64 dtype
+        draw for draw: a span of 1 consumes nothing, a span of ``2**32``
+        takes one raw 32-bit word, any other span uses Lemire's
+        multiply-and-reject method on 32-bit words. Those words come from
+        the bit generator's own ``next_uint32``, which shares its
+        half-consumed 64-bit buffer with numpy, so the stream and the
+        ``bit_generator.state`` stay exactly numpy's.
+        """
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span < _UINT32_SPAN:
+            if span == _UINT32_SPAN:
+                return low + self._next_uint32()
+            raise ValueError(f"draw span must be in [1, 2**32], got {span}")
+        next_uint32 = self._next_uint32
+        product = next_uint32() * span
+        if (product & 0xFFFF_FFFF) < span:
+            threshold = (_UINT32_SPAN - span) % span
+            while (product & 0xFFFF_FFFF) < threshold:
+                product = next_uint32() * span
+        return low + (product >> 32)
+
     # -- console ------------------------------------------------------------------------
 
     def console(self, text: str) -> None:
@@ -168,7 +236,7 @@ class GuestOS(abc.ABC):
         memory_map = self.cell.memory_map
         registers = context.registers
 
-        pc = registers[Register.PC]
+        pc = registers[_PC]
         if not memory_map.is_executable(pc):
             self.stats.faults_after_resume += 1
             return GuestEvent(
@@ -178,9 +246,9 @@ class GuestOS(abc.ABC):
                 description=f"instruction fetch from unmapped 0x{pc:08x}",
             )
 
-        sp = registers[Register.SP]
-        if not memory_map.is_mapped(sp, 4, AccessType.WRITE):
-            if self.rng.random() < self.stack_use_probability:
+        sp = registers[_SP]
+        if not memory_map.is_mapped(sp, 4, _WRITE):
+            if self._random() < self.stack_use_probability:
                 self.stats.faults_after_resume += 1
                 return GuestEvent(
                     trap=TrapCode.DATA_ABORT,
@@ -192,9 +260,9 @@ class GuestOS(abc.ABC):
             # corrupted value is ever dereferenced.
             self._restore_stack_pointer(cpu_id)
 
-        lr = registers[Register.LR]
+        lr = registers[_LR]
         if not memory_map.is_executable(lr):
-            if self.rng.random() < self.link_return_probability:
+            if self._random() < self.link_return_probability:
                 self.stats.faults_after_resume += 1
                 return GuestEvent(
                     trap=TrapCode.PREFETCH_ABORT,
@@ -247,13 +315,13 @@ class GuestOS(abc.ABC):
                 max(0x200, size // 4), size // 2, size - 0x100,
             )
         _, base, size, code_hi, stack_lo, stack_hi = cached
-        rng = self.rng
-        code_offset = int(rng.integers(0x100, code_hi)) & ~0x3
-        stack_offset = int(rng.integers(stack_lo, stack_hi)) & ~0x7
+        integers = self._integers
+        code_offset = integers(0x100, code_hi) & ~0x3
+        stack_offset = integers(stack_lo, stack_hi) & ~0x7
         return {
-            Register.PC: base + code_offset,
-            Register.SP: base + stack_offset,
-            Register.LR: base + ((code_offset + 0x40) % size),
+            _PC: base + code_offset,
+            _SP: base + stack_offset,
+            _LR: base + ((code_offset + 0x40) % size),
         }
 
     def crash(self, reason: str) -> None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.registry import GUESTS
 from repro.guests.base import GuestEvent, GuestOS, GuestState
 from repro.guests.freertos.queue import MessageQueue
@@ -24,6 +22,16 @@ from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.ivshmem import IvshmemChannel
 from repro.hypervisor.traps import TrapCode
 from repro.errors import SchedulerError
+
+# Bound once for the per-step paths: on CPython 3.11 an enum class attribute
+# lookup costs several times a module global.
+_RUNNING = GuestState.RUNNING
+_READY = TaskState.READY
+_TASK_RUNNING = TaskState.RUNNING
+_BLOCKED = TaskState.BLOCKED
+_SUSPENDED = TaskState.SUSPENDED
+_DELETED = TaskState.DELETED
+_COMPUTE = EffectKind.COMPUTE
 
 
 @dataclass
@@ -102,27 +110,37 @@ class FreeRTOSKernel(GuestOS):
     # -- scheduler --------------------------------------------------------------------------
 
     def _ready_tasks(self, now: float) -> List[Task]:
-        # Inlined Task.release_if_due: this runs once per task per quantum,
-        # and the method-call version dominates the scheduler's step cost.
-        ready = TaskState.READY
-        suspended = TaskState.SUSPENDED
-        deleted = TaskState.DELETED
+        """Release every due task; return the READY ones in dispatch order.
+
+        One pass over the fixed-priority order (highest priority first, FIFO
+        among equals) both releases and collects, with
+        :meth:`Task.release_if_due` inlined: this runs once per quantum.
+        """
         deadline = now + 1e-12
-        for task in self.tasks:
+        ready: List[Task] = []
+        order = self._priority_order
+        for task in order:
             state = task.state
-            if state is ready or state is suspended or state is deleted:
-                continue
-            if deadline >= task.next_release:
+            if state is _READY:
+                ready.append(task)
+            elif (deadline >= task.next_release
+                  and state is not _SUSPENDED and state is not _DELETED):
                 if task.run_count and now - task.next_release >= task.period:
                     task.missed_deadlines += 1
-                task.state = ready
-        # Fixed-priority: highest priority first, FIFO among equals (the
-        # precomputed order is a stable sort of the creation order).
-        return [task for task in self._priority_order if task.state is ready]
+                task.state = _READY
+                ready.append(task)
+        tasks = self.tasks
+        if len(tasks) != len(order):
+            # A restore rewound the order to before a create_task(). Tasks
+            # are only ever appended, so the order covers a prefix of
+            # ``tasks``; the newer ones are released but not dispatched.
+            for task in tasks[len(order):]:
+                task.release_if_due(now)
+        return ready
 
     def step(self, cpu_id: int, now: float, dt: float) -> List[GuestEvent]:
         """Run one scheduling quantum and return the traps it generated."""
-        if self.state is not GuestState.RUNNING:
+        if self.state is not _RUNNING:
             return []
         self.stats.steps += 1
         ticks_cache = self._ticks_cache
@@ -133,34 +151,48 @@ class FreeRTOSKernel(GuestOS):
             self._ticks_cache = (dt, ticks)
         self.tick_count += ticks
 
-        events: List[GuestEvent] = []
         ready = self._ready_tasks(now)
         if ready:
-            apply_effect = self._apply_effect
             self.context_switches += len(ready)
+            apply_effect = self._apply_effect
             for task in ready:
-                for effect in task.run(now):
-                    apply_effect(task, effect, now)
+                # Task.run inlined, with its transitions and its error.
+                if task.state is not _READY:
+                    raise SchedulerError(
+                        f"task {task.name!r} cannot run from state "
+                        f"{task.state.value}"
+                    )
+                task.state = _TASK_RUNNING
+                task.last_started = now
+                task.run_count += 1
+                effects = task.body(task, now)
+                task.state = _BLOCKED
+                task.next_release = now + task.period
+                for effect in effects:
+                    # The 17 arithmetic tasks emit a COMPUTE effect every
+                    # release; every other kind is comparatively rare.
+                    if effect.kind is _COMPUTE:
+                        value = effect.value
+                        if isinstance(value, float) and not value.is_integer():
+                            self.float_accumulator += value
+                        else:
+                            self.int_accumulator += int(value)
+                    else:
+                        apply_effect(task, effect, now)
         else:
             self.idle_ticks += ticks
 
-        self._maybe_print_status(now)
+        if now - self._last_status_print >= self.config.status_print_period:
+            self._print_status(now)
+        events: List[GuestEvent] = []
         self._generate_traps(cpu_id, now, events, idle=not ready)
         self.stats.traps_generated += len(events)
         return events
 
     def _apply_effect(self, task: Task, effect: TaskEffect, now: float) -> None:
-        # Dispatch ordered by frequency: the 17 arithmetic tasks emit a
-        # COMPUTE effect every release, queue traffic comes next, prints and
-        # LED toggles are comparatively rare.
+        """Apply one effect other than COMPUTE (:meth:`step` folds those)."""
         kind = effect.kind
-        if kind is EffectKind.COMPUTE:
-            value = effect.value
-            if isinstance(value, float) and not value.is_integer():
-                self.float_accumulator += value
-            else:
-                self.int_accumulator += int(value)
-        elif kind is EffectKind.QUEUE_SEND:
+        if kind is EffectKind.QUEUE_SEND:
             queue = self.queues.get(effect.queue_name)
             if queue is not None:
                 queue.send(effect.payload, now=now)
@@ -180,9 +212,8 @@ class FreeRTOSKernel(GuestOS):
             if self.board is not None:
                 self.board.led.toggle()
 
-    def _maybe_print_status(self, now: float) -> None:
-        if now - self._last_status_print < self.config.status_print_period:
-            return
+    def _print_status(self, now: float) -> None:
+        """Print the heartbeat line (due every ``status_print_period``)."""
         self._last_status_print = now
         alive = sum(1 for task in self.tasks if task.state is not TaskState.DELETED)
         self.console(
@@ -200,14 +231,16 @@ class FreeRTOSKernel(GuestOS):
         nominal = self.nominal_registers(cpu_id)
         self.place_registers(cpu_id, nominal)
 
-        if idle and self.rng.random() < self.config.wfi_probability:
+        random = self._random
+        config = self.config
+        if idle and random() < config.wfi_probability:
             events.append(GuestEvent(trap=TrapCode.WFI, registers=dict(nominal),
                                      description="idle loop WFI"))
-        if self.rng.random() < self.config.cp15_probability:
+        if random() < config.cp15_probability:
             events.append(GuestEvent(trap=TrapCode.CP15_ACCESS,
                                      registers=dict(nominal),
                                      description="performance counter read"))
-        if self.ivshmem is not None and self.rng.random() < self.config.ivshmem_mmio_probability:
+        if self.ivshmem is not None and random() < config.ivshmem_mmio_probability:
             doorbell = self._ivshmem_doorbell_address()
             if doorbell is not None:
                 events.append(
@@ -218,7 +251,7 @@ class FreeRTOSKernel(GuestOS):
                         description="ivshmem doorbell write",
                     )
                 )
-        if self.rng.random() < self.config.debug_putc_probability:
+        if random() < config.debug_putc_probability:
             registers = dict(nominal)
             registers[Register.R0] = int(Hypercall.DEBUG_CONSOLE_PUTC)
             registers[Register.R1] = ord(".")

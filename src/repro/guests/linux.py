@@ -19,6 +19,8 @@ from repro.hw.registers import Register
 from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.traps import TrapCode
 
+_RUNNING = GuestState.RUNNING  # bound once: enum attribute lookups are slow
+
 
 @GUESTS.register("linux")
 class LinuxGuest(GuestOS):
@@ -47,7 +49,7 @@ class LinuxGuest(GuestOS):
 
     def step(self, cpu_id: int, now: float, dt: float) -> List[GuestEvent]:
         """One quantum of root-cell activity on ``cpu_id``."""
-        if self.state is not GuestState.RUNNING:
+        if self.state is not _RUNNING:
             return []
         self.stats.steps += 1
         jiffy_cache = self._jiffy_cache
@@ -57,7 +59,7 @@ class LinuxGuest(GuestOS):
             increment = max(1, int(round(dt / 0.010)))
             self._jiffy_cache = (dt, increment)
             self.jiffies += increment
-        self.syscalls_serviced += int(self.rng.integers(5, 40))
+        self.syscalls_serviced += self._integers(5, 40)
 
         if now - self._last_log >= self.log_period:
             self._last_log = now
@@ -70,14 +72,15 @@ class LinuxGuest(GuestOS):
         nominal = self.nominal_registers(cpu_id)
         self.place_registers(cpu_id, nominal)
 
-        if self.rng.random() < self.wfi_probability:
+        random = self._random
+        if random() < self.wfi_probability:
             events.append(GuestEvent(trap=TrapCode.WFI, registers=dict(nominal),
                                      description="cpuidle WFI"))
-        if self.rng.random() < self.cp15_probability:
+        if random() < self.cp15_probability:
             events.append(GuestEvent(trap=TrapCode.CP15_ACCESS,
                                      registers=dict(nominal),
                                      description="arch timer register access"))
-        if self.rng.random() < self.hypercall_probability:
+        if random() < self.hypercall_probability:
             registers = dict(nominal)
             registers[Register.R0] = int(Hypercall.HYPERVISOR_GET_INFO)
             events.append(GuestEvent(trap=TrapCode.HYPERCALL, registers=registers,

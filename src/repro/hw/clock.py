@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class _ScheduledEvent:
     due: float
-    sequence: int
-    callback: Callable[[float], None] = field(compare=False)
-    period: Optional[float] = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[[float], None]
+    period: Optional[float] = None
+    cancelled: bool = False
 
 
 class EventHandle:
@@ -54,7 +53,10 @@ class SimulationClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._events: list[_ScheduledEvent] = []
+        #: Heap of ``(due, sequence, event)``: the unique sequence number
+        #: breaks ties in scheduling order, so comparisons stay in C and
+        #: never reach the event itself.
+        self._events: list[Tuple[float, int, _ScheduledEvent]] = []
         self._counter = itertools.count()
 
     @property
@@ -79,13 +81,9 @@ class SimulationClock:
             raise ValueError(f"delay must be non-negative, got {delay}")
         if period is not None and period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        event = _ScheduledEvent(
-            due=self._now + delay,
-            sequence=next(self._counter),
-            callback=callback,
-            period=period,
-        )
-        heapq.heappush(self._events, event)
+        event = _ScheduledEvent(due=self._now + delay, callback=callback,
+                                period=period)
+        heapq.heappush(self._events, (event.due, next(self._counter), event))
         return EventHandle(event)
 
     def advance(self, duration: float) -> int:
@@ -102,28 +100,28 @@ class SimulationClock:
         events = self._events
         heappop = heapq.heappop
         heappush = heapq.heappush
-        while events and events[0].due <= target:
-            event = heappop(events)
+        counter = self._counter
+        while events and events[0][0] <= target:
+            due, _, event = heappop(events)
             if event.cancelled:
                 continue
-            if event.due > self._now:
-                self._now = event.due
+            if due > self._now:
+                self._now = due
             event.callback(self._now)
             fired += 1
             if event.period is not None and not event.cancelled:
-                event.due = self._now + event.period
-                event.sequence = next(self._counter)
-                heappush(events, event)
+                event.due = due = self._now + event.period
+                heappush(events, (due, next(counter), event))
         self._now = target
         return fired
 
     def pending_events(self) -> int:
         """Number of scheduled events that have not been cancelled."""
-        return sum(1 for event in self._events if not event.cancelled)
+        return sum(1 for _, _, event in self._events if not event.cancelled)
 
     def cancel_all(self) -> None:
         """Cancel every scheduled event (used on board reset)."""
-        for event in self._events:
+        for _, _, event in self._events:
             event.cancelled = True
         self._events.clear()
 

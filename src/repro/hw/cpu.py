@@ -42,6 +42,13 @@ class CpuState(enum.Enum):
     FAILED = "failed"
 
 
+# Bound once for the trap entry/exit path (an enum class attribute lookup
+# costs several times a module global).
+_ONLINE = CpuState.ONLINE
+_HYP = CpuMode.HYP
+_SVC = CpuMode.SVC
+
+
 @dataclass(frozen=True)
 class ParkRecord:
     """Why and when a CPU was parked.
@@ -128,30 +135,25 @@ class CpuCore:
         guest's registers on its per-CPU stack — the structure the paper's
         fault injector corrupts.
         """
-        if self.state is not CpuState.ONLINE:
+        if self.state is not _ONLINE:
             raise CpuStateError(
                 f"CPU {self.cpu_id} cannot trap in state {self.state.value}"
             )
-        self.mode = CpuMode.HYP
+        self.mode = _HYP
         self._trap_entries += 1
-        return TrapContext(
-            cpu_id=self.cpu_id,
-            registers=self.registers.snapshot(),
-            hsr=hsr,
-            exception_vector=vector,
-            timestamp=timestamp,
-        )
+        return TrapContext.capture(self.cpu_id, self.registers.snapshot(),
+                                   hsr, vector, timestamp)
 
     def exit_trap(self, context: TrapContext) -> None:
         """Restore the (possibly corrupted) context and return to guest mode."""
-        if self.state is not CpuState.ONLINE:
+        if self.state is not _ONLINE:
             # A handler may have parked or failed the CPU; nothing to restore.
             return
         # The context's register dict holds masked values for (at least) every
         # corruptible register; bulk-load it instead of rebuilding a dict via
         # 17 read() calls — this runs a few times per simulation step.
         self.registers.load_context(context.registers)
-        self.mode = CpuMode.SVC
+        self.mode = _SVC
 
     @property
     def trap_entries(self) -> int:

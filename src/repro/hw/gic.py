@@ -123,36 +123,30 @@ class Gic:
     def raise_irq(self, irq: int, *, cpu_id: Optional[int] = None) -> bool:
         """Mark an interrupt pending. Returns whether it was accepted.
 
-        Hot path (every timer tick goes through here): the per-``(irq, cpu)``
-        :class:`PendingInterrupt` instances are immutable, so they are
+        Without ``cpu_id`` the interrupt goes to its lowest-numbered target
+        CPU. Hot path (every timer tick goes through here): the per-``(irq,
+        cpu)`` :class:`PendingInterrupt` instances are immutable, so they are
         interned in a flyweight cache instead of re-constructed per tick.
         """
         if not 0 <= irq < MAX_IRQ:
             raise InterruptError(f"IRQ id {irq} out of range [0, {MAX_IRQ})")
         if not self.enabled or irq not in self._enabled_irqs:
             return False
-        if cpu_id is not None:
-            targets = (cpu_id,)
-        else:
-            targets = sorted(self._targets.get(irq, {0}))
-            targets = targets[:1] if targets else [0]
-        accepted = False
+        if cpu_id is None:
+            cpu_id = min(self._targets.get(irq, ()), default=0)
+        if not 0 <= cpu_id < self.num_cpus:
+            raise InterruptError(f"IRQ {irq} targets invalid CPU {cpu_id}")
+        pending = self._pending[cpu_id]
+        for entry in pending:
+            if entry.irq == irq:
+                return True
         interned = self._interned_pending
-        for cpu in targets:
-            if not 0 <= cpu < self.num_cpus:
-                raise InterruptError(f"IRQ {irq} targets invalid CPU {cpu}")
-            pending = self._pending[cpu]
-            for entry in pending:
-                if entry.irq == irq:
-                    break
-            else:
-                key = (irq, cpu)
-                instance = interned.get(key)
-                if instance is None:
-                    instance = interned[key] = PendingInterrupt(irq=irq, cpu_id=cpu)
-                pending.append(instance)
-            accepted = True
-        return accepted
+        key = (irq, cpu_id)
+        instance = interned.get(key)
+        if instance is None:
+            instance = interned[key] = PendingInterrupt(irq=irq, cpu_id=cpu_id)
+        pending.append(instance)
+        return True
 
     def send_sgi(self, irq: int, source_cpu: int, target_cpu: int) -> None:
         """Send a software-generated interrupt between cores."""
@@ -199,8 +193,15 @@ class Gic:
         if not pending:
             return None
         priorities = self._priorities
-        if len(pending) > 1:
-            pending.sort(key=lambda p: priorities.get(p.irq, 0xFF))
+        if len(pending) == 1:
+            # The common case: one timer tick pending on this CPU.
+            entry = pending[0]
+            if priorities.get(entry.irq, 0xFF) >= priority_mask:
+                return None
+            pending.clear()
+            self.delivered.append(entry)
+            return entry.irq
+        pending.sort(key=lambda p: priorities.get(p.irq, 0xFF))
         for index, entry in enumerate(pending):
             if priorities.get(entry.irq, 0xFF) < priority_mask:
                 pending.pop(index)

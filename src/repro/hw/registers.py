@@ -280,12 +280,29 @@ class TrapContext:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        # Contexts built from a full RegisterFile snapshot (the hot path)
-        # already hold every architectural register; only fill defaults for
-        # hand-built partial contexts.
+        # Hand-built contexts may be partial: fill the missing architectural
+        # registers with zero (trap entry uses :meth:`capture`, which skips
+        # this for full register-file copies).
         if not _ARCH_REGISTER_SET <= self.registers.keys():
             for reg in ARCHITECTURAL_REGISTERS:
                 self.registers.setdefault(reg, 0)
+
+    @classmethod
+    def capture(cls, cpu_id: int, registers: Dict[Register, int], hsr: int,
+                exception_vector: str, timestamp: float) -> "TrapContext":
+        """A context owning ``registers``, a full :class:`RegisterFile` copy.
+
+        The hypervisor-entry path builds one per trap. A full copy already
+        holds every architectural register, so the default fill that
+        ``__post_init__`` runs for hand-built contexts is skipped.
+        """
+        context = object.__new__(cls)
+        context.cpu_id = cpu_id
+        context.registers = registers
+        context.hsr = hsr
+        context.exception_vector = exception_vector
+        context.timestamp = timestamp
+        return context
 
     def read(self, register: Register) -> int:
         if register is Register.HSR:

@@ -383,6 +383,27 @@ class TestAnalyzeCli:
         assert code == 1
         assert str(missing) in err
 
+    def test_line_missing_a_required_field_is_a_typed_error(self, capsys,
+                                                             tmp_path):
+        # Regression: a line lacking any required field other than the four
+        # once checked by name (here ``intensity``) reached the constructor
+        # and ended the CLI in a TypeError traceback.
+        path = tmp_path / "campaign.jsonl"
+        write_store(path, MIXED_RECORDS[:2])
+        payload = json.loads(MIXED_RECORDS[2].to_json())
+        del payload["intensity"]
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload) + "\n")
+        code, _, err = self.run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert f"{path}:3:" in err
+        assert "missing fields: ['intensity']" in err
+        assert "Traceback" not in err
+        code, out, _ = self.run_cli(capsys, "analyze", str(path),
+                                    "--skip-malformed")
+        assert code == 0
+        assert "experiments: 2" in out
+
     def test_malformed_line_fails_strict_and_passes_skip(self, capsys, tmp_path):
         path = tmp_path / "broken.jsonl"
         write_store(path, MIXED_RECORDS[:2])

@@ -57,6 +57,15 @@ class TestJsonRoundTrip:
         with pytest.raises(AnalysisError, match="missing fields"):
             ExperimentRecord.from_json('{"spec_name": "only-a-name"}')
 
+    def test_every_missing_required_field_is_named(self, records):
+        import json
+        payload = json.loads(records[0].to_json())
+        for name in ("intensity", "rationale"):
+            del payload[name]
+        with pytest.raises(AnalysisError,
+                           match=r"missing fields: \['intensity', 'rationale'\]"):
+            ExperimentRecord.from_json(json.dumps(payload))
+
     def test_to_result_rebuilds_the_result_view(self, campaign_result, records):
         for original, record in zip(campaign_result.results, records):
             rebuilt = record.to_result()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.campaign import Campaign
 from repro.core.plan import TestPlan, paper_figure3_plan
-from repro.core.recording import RecordStore
+from repro.core.recording import ExperimentRecord, RecordStore
 from repro.engine import CampaignEngine, Checkpoint
 
 
@@ -310,6 +310,50 @@ class TestAtomicFlush:
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != path.name]
         assert leftovers == []
         assert len(RecordStore(path).load()) == 2
+
+    def test_each_commit_serializes_one_record(self, plan, sequential,
+                                               tmp_path, monkeypatch):
+        # Every flush rewrites the whole file, but from lines cached at
+        # commit time: N commits serialize N records, not N*(N+1)/2.
+        to_json = ExperimentRecord.to_json
+        calls = []
+        monkeypatch.setattr(ExperimentRecord, "to_json",
+                            lambda record: calls.append(record) or
+                            to_json(record))
+        checkpoint = Checkpoint(tmp_path / "run.jsonl")
+        committed = [checkpoint.commit(spec, result) for spec, result
+                     in zip(plan.specs, sequential.results)]
+        assert len(calls) == len(plan)
+        assert checkpoint.flushes == len(plan)
+        assert checkpoint.path.read_text(encoding="utf-8") == "".join(
+            to_json(record) + "\n" for record in committed)
+
+    def test_rewrites_keep_the_cached_lines_in_step(self, plan, sequential,
+                                                    tmp_path):
+        path = tmp_path / "run.jsonl"
+        checkpoint = Checkpoint(path)
+        committed = [checkpoint.commit(spec, result) for spec, result
+                     in zip(plan.specs, sequential.results)]
+
+        def on_disk():
+            return path.read_text(encoding="utf-8")
+
+        def lines(records):
+            return "".join(record.to_json() + "\n" for record in records)
+
+        checkpoint.replace_records(committed[::-1])
+        assert on_disk() == lines(committed[::-1])
+        kept = TestPlan(name=plan.name, specs=list(plan.specs)[:2])
+        assert checkpoint.prune_stale(kept) == len(plan) - 2
+        assert on_disk() == lines(committed[1::-1])
+        extra = checkpoint.commit(plan.specs[2], sequential.results[2])
+        assert on_disk() == lines([*committed[1::-1], extra])
+        reloaded = Checkpoint(path)
+        assert reloaded.load() == 3
+        reloaded.clear()
+        assert on_disk() == ""
+        again = reloaded.commit(plan.specs[0], sequential.results[0])
+        assert on_disk() == lines([again])
 
     def test_negative_flush_interval_is_rejected(self, tmp_path):
         from repro.errors import CampaignError
