@@ -25,51 +25,64 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.core.campaign import Campaign, CampaignResult
-from repro.core.experiment import Experiment, ExperimentResult, ExperimentSpec, Scenario
-from repro.core.faultmodels import MultiRegisterBitFlip, SingleBitFlip
-from repro.core.injection import FaultInjector
-from repro.core.outcomes import Outcome, OutcomeClassifier
-from repro.core.plan import IntensityLevel, TestPlan, build_intensity_plan, paper_figure3_plan
-from repro.core.sut import JailhouseSUT, SutConfig
-from repro.core.targets import InjectionTarget
-from repro.core.triggers import EveryNCalls, ProbabilisticTrigger
-from repro.safety.evidence import build_evidence_report
-from repro.safety.seooc import SeoocAssessment
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.campaign import CampaignResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Campaign",
-    "CampaignResult",
-    "EveryNCalls",
-    "Experiment",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FaultInjector",
-    "InjectionTarget",
-    "IntensityLevel",
-    "JailhouseSUT",
-    "MultiRegisterBitFlip",
-    "Outcome",
-    "OutcomeClassifier",
-    "ProbabilisticTrigger",
-    "Scenario",
-    "SeoocAssessment",
-    "SingleBitFlip",
-    "SutConfig",
-    "TestPlan",
-    "build_evidence_report",
-    "build_intensity_plan",
-    "paper_figure3_plan",
-    "quick_campaign",
-    "__version__",
-]
+# Names resolve on first access (as in :mod:`repro.obs` and
+# :mod:`repro.fleet`): ``import repro``, which every submodule import runs
+# first, loads no simulator, numpy or assessment layer, so each command
+# loads only the modules it imports.
+_EXPORTS = {
+    "Campaign": "repro.core.campaign",
+    "CampaignResult": "repro.core.campaign",
+    "EveryNCalls": "repro.core.triggers",
+    "Experiment": "repro.core.experiment",
+    "ExperimentResult": "repro.core.experiment",
+    "ExperimentSpec": "repro.core.experiment",
+    "FaultInjector": "repro.core.injection",
+    "InjectionTarget": "repro.core.targets",
+    "IntensityLevel": "repro.core.plan",
+    "JailhouseSUT": "repro.core.sut",
+    "MultiRegisterBitFlip": "repro.core.faultmodels",
+    "Outcome": "repro.core.outcomes",
+    "OutcomeClassifier": "repro.core.outcomes",
+    "ProbabilisticTrigger": "repro.core.triggers",
+    "Scenario": "repro.core.experiment",
+    "SeoocAssessment": "repro.safety.seooc",
+    "SingleBitFlip": "repro.core.faultmodels",
+    "SutConfig": "repro.core.sut",
+    "TestPlan": "repro.core.plan",
+    "build_evidence_report": "repro.safety.evidence",
+    "build_intensity_plan": "repro.core.plan",
+    "paper_figure3_plan": "repro.core.plan",
+}
+
+__all__ = sorted([*_EXPORTS, "quick_campaign", "__version__"])
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
 
 
 def quick_campaign(*, num_tests: int = 10, duration: float = 10.0,
                    base_seed: int = 0) -> CampaignResult:
     """Run a small Figure-3-style campaign (for demos and smoke tests)."""
+    from repro.core.campaign import Campaign
+    from repro.core.plan import paper_figure3_plan
+
     plan = paper_figure3_plan(num_tests=num_tests, duration=duration,
                               base_seed=base_seed)
     return Campaign(plan).run()

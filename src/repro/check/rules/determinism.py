@@ -8,7 +8,7 @@ packages that produce records or identities (``hw/``, ``hypervisor/``,
 APIs (wall clocks, ``os.urandom``, the module-level ``random.*`` global RNG,
 v1/v4 UUIDs) and the classic silent killer: iterating a ``set`` into
 anything order-sensitive. Seeded generators
-(``numpy.random.default_rng(seed)``, ``random.Random(seed)``) are fine and
+(``repro.rng.seeded_rng(seed)``, ``random.Random(seed)``) are fine and
 are the suggested replacement.
 """
 
@@ -137,7 +137,7 @@ def _iter_findings(source: SourceFile) -> Iterator[Finding]:
                                 "determinism", source.rel, node.lineno,
                                 f"call to {origin} uses {why}; use a "
                                 "seeded random.Random / "
-                                "numpy.random.default_rng(seed)")
+                                "repro.rng.seeded_rng(seed)")
                             break
             # list(set_expr) / tuple(set_expr): hash order becomes element
             # order of an ordered container.

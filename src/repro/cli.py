@@ -114,7 +114,7 @@ from repro.core.plan import (
 )
 from repro.core.outcomes import Outcome
 from repro.core.policy import RunPolicy
-from repro.core.recording import ExperimentRecord, RecordStore
+from repro.core.recording import DECODE_ERRORS, ExperimentRecord, RecordStore
 from repro.core.registry import (
     CLASSIFIERS,
     FAULT_MODELS,
@@ -126,15 +126,6 @@ from repro.core.registry import (
     TRIGGERS,
     WORKLOADS,
 )
-from repro.core.report import (
-    format_analysis,
-    format_analysis_markdown,
-    format_campaign_comparison,
-    format_campaign_summary,
-    format_distribution,
-    format_figure3,
-    format_management_report,
-)
 from repro.core.analysis import outcome_distribution
 from repro.core.targets import InjectionTarget
 from repro.engine import CampaignEngine
@@ -144,9 +135,8 @@ from repro.errors import (
     FleetError,
     ReproError,
 )
-from repro.obs.telemetry import Telemetry
 from repro.hypervisor.handlers import ALL_HANDLERS
-from repro.safety.evidence import build_evidence_report
+from repro.rng import seeded_rng
 
 #: Figure-3 reference shares used for side-by-side reporting.
 PAPER_FIGURE3 = PAPER_FIGURE3_REFERENCE
@@ -226,8 +216,12 @@ def _observability(plan, args):
     ``(None, None, None)`` and the engine's hot path stays untouched.
     """
     telemetry_path = getattr(args, "telemetry", None)
-    telemetry = Telemetry(telemetry_path) if telemetry_path else None
     watch_port = getattr(args, "watch", None)
+    if not telemetry_path and watch_port is None:
+        return None, None, None
+    from repro.obs.telemetry import Telemetry
+
+    telemetry = Telemetry(telemetry_path) if telemetry_path else None
     if watch_port is None:
         return telemetry, None, None
     from repro.obs.rollup import TelemetryHub
@@ -342,6 +336,8 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
+    from repro.core.report import format_figure3
+
     plan = paper_figure3_plan(num_tests=args.tests, duration=args.duration,
                               base_seed=args.seed)
     result = _run_plan(plan, args)
@@ -350,19 +346,15 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     return 0
 
 
-# Scenario choices come from the registry, so every registered scenario —
-# including ``park-and-recover``, which the hand-written dict this replaced
-# had left unreachable — is selectable from the CLI.
-_SCENARIOS = {key: SCENARIOS.build(key) for key in SCENARIOS.keys()}
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.core.report import format_campaign_summary
+
     intensity = IntensityLevel(args.intensity)
     target = _build_target(args.handler, args.cpu)
     plan = build_intensity_plan(
         intensity, target,
         num_tests=args.tests,
-        scenario=_SCENARIOS[args.scenario],
+        scenario=SCENARIOS.build(args.scenario),
         duration=args.duration,
         base_seed=args.seed,
         name=args.name or f"cli-{intensity.value}-{target.describe()}",
@@ -407,6 +399,8 @@ def _resolve_campaign_config(name_or_path: str, *,
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a declarative campaign from a config file or catalog entry."""
+    from repro.core.report import format_campaign_summary
+
     config = _resolve_campaign_config(args.config, tests=args.tests,
                                       duration=args.duration, seed=args.seed)
     plan = config.compile()
@@ -496,6 +490,12 @@ def _open_record_streams(
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.core.report import (
+        format_distribution,
+        format_figure3,
+        format_management_report,
+    )
+
     records = _open_record_stream(args.records)
     if records is None:
         print(f"no records found in {args.records}", file=sys.stderr)
@@ -542,8 +542,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             payload["skipped_lines"] = skipped
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "markdown":
+        from repro.core.report import format_analysis_markdown
+
         print(format_analysis_markdown(analysis))
     else:
+        from repro.core.report import format_analysis
+
         print(format_analysis(analysis, title=f"records: {args.records}"))
     return 0
 
@@ -565,6 +569,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             compare_to_dict(analyses, paper_reference=PAPER_FIGURE3),
             indent=2, sort_keys=True))
     else:
+        from repro.core.report import format_campaign_comparison
+
         print(format_campaign_comparison(analyses,
                                          paper_reference=PAPER_FIGURE3))
     return 0
@@ -577,7 +583,9 @@ def _tail_lines(path: Path, *, poll_s: float, deadline: float,
     Reads from a remembered byte offset and only yields newline-terminated
     lines, so a record the campaign is mid-way through writing is never
     parsed half-done; the partial tail stays buffered until its newline
-    arrives. The file may not exist yet — the tailer waits for it.
+    arrives. The file may not exist yet — the tailer waits for it. Bytes
+    that are not UTF-8 decode as ``DECODE_ERRORS`` stand-ins, so the caller's
+    ``ExperimentRecord.from_json`` rejects that one line.
 
     The file shrinking under the reader (rotation, truncation, or the
     engine's atomic checkpoint rewrite landing a shorter file) is tolerated:
@@ -603,7 +611,7 @@ def _tail_lines(path: Path, *, poll_s: float, deadline: float,
                 while b"\n" in buffer:
                     line, buffer = buffer.split(b"\n", 1)
                     if line.strip():
-                        yield line.decode("utf-8")
+                        yield line.decode("utf-8", DECODE_ERRORS)
         if time.monotonic() >= deadline:
             return
         time.sleep(poll_s)
@@ -620,6 +628,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.engine.aggregate import LiveAggregator
     from repro.obs.rollup import TelemetryHub
     from repro.obs.server import WatchServer
+    from repro.obs.telemetry import Telemetry
 
     records_path = Path(args.records)
     hub = TelemetryHub()
@@ -697,6 +706,8 @@ def cmd_seooc(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
+    from repro.safety.evidence import build_evidence_report
+
     report = build_evidence_report(records_by_campaign)
     print(report.render())
     return 0 if report.certification_ready else 2
@@ -705,6 +716,7 @@ def cmd_seooc(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the fleet coordinator until interrupted (or --until-done)."""
     from repro.fleet.coordinator import FleetCoordinator, FleetServer
+    from repro.obs.telemetry import Telemetry
 
     state_dir = Path(args.state_dir)
     telemetry = Telemetry(args.telemetry) if args.telemetry else None
@@ -795,6 +807,7 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
     from repro.fleet.worker import FleetWorkerAgent
 
     _policy(args)              # reject bad flag values before joining a fleet
+    seeded_rng(0)              # ... and refuse to join without numpy
     agent = FleetWorkerAgent(
         args.url,
         host=args.name,
@@ -1039,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="arch_handle_trap")
     campaign.add_argument("--cpu", type=int, default=1,
                           help="CPU filter (omit with --cpu -1 for no filter)")
-    campaign.add_argument("--scenario", choices=sorted(_SCENARIOS),
+    campaign.add_argument("--scenario", choices=SCENARIOS.keys(),
                           default="steady-state")
     campaign.add_argument("--tests", type=int, default=20)
     campaign.add_argument("--duration", type=float, default=30.0)

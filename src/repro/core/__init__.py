@@ -8,90 +8,70 @@ system (:mod:`monitors`), classifies each test's outcome (:mod:`outcomes`),
 and aggregates results (:mod:`campaign`, :mod:`analysis`, :mod:`report`).
 """
 
-from repro.core.campaign import Campaign, CampaignResult
-from repro.core.config import (
-    CampaignConfig,
-    PartRef,
-    catalog_config,
-    catalog_keys,
-    load_campaign_config,
-)
-from repro.core.experiment import Experiment, ExperimentResult, ExperimentSpec, Scenario
-from repro.core.faultmodels import (
-    AppliedFault,
-    FaultModel,
-    MultiRegisterBitFlip,
-    RegisterClassBitFlip,
-    SingleBitFlip,
-)
-from repro.core.injection import FaultInjector, InjectionRecord
-from repro.core.monitors import AvailabilityMonitor, AvailabilityReport
-from repro.core.outcomes import Outcome, OutcomeClassifier, OutcomeEvidence
-from repro.core.plan import IntensityLevel, TestPlan, build_intensity_plan
-from repro.core.recording import ExperimentRecord, RecordStore
-from repro.core.registry import (
-    CLASSIFIERS,
-    FAULT_MODELS,
-    GUESTS,
-    Registry,
-    RegistrySutFactory,
-    SCENARIOS,
-    SUTS,
-    TARGETS,
-    TRIGGERS,
-    WORKLOADS,
-    resolve_sut_factory,
-)
-from repro.core.sut import JailhouseSUT, SutConfig, SystemUnderTest
-from repro.core.targets import InjectionTarget
-from repro.core.triggers import EveryNCalls, OneShotAtCall, ProbabilisticTrigger, Trigger
+# Names resolve on first access, as in :mod:`repro` itself: importing one
+# submodule (say :mod:`repro.core.registry`, which the guest models use)
+# must not import the whole framework and close an import cycle.
+_EXPORTS = {
+    "AppliedFault": "repro.core.faultmodels",
+    "AvailabilityMonitor": "repro.core.monitors",
+    "AvailabilityReport": "repro.core.monitors",
+    "CLASSIFIERS": "repro.core.registry",
+    "Campaign": "repro.core.campaign",
+    "CampaignConfig": "repro.core.config",
+    "CampaignResult": "repro.core.campaign",
+    "EveryNCalls": "repro.core.triggers",
+    "FAULT_MODELS": "repro.core.registry",
+    "GUESTS": "repro.core.registry",
+    "PartRef": "repro.core.config",
+    "Registry": "repro.core.registry",
+    "RegistrySutFactory": "repro.core.registry",
+    "SCENARIOS": "repro.core.registry",
+    "SUTS": "repro.core.registry",
+    "TARGETS": "repro.core.registry",
+    "TRIGGERS": "repro.core.registry",
+    "WORKLOADS": "repro.core.registry",
+    "catalog_config": "repro.core.config",
+    "catalog_keys": "repro.core.config",
+    "load_campaign_config": "repro.core.config",
+    "resolve_sut_factory": "repro.core.registry",
+    "Experiment": "repro.core.experiment",
+    "ExperimentRecord": "repro.core.recording",
+    "ExperimentResult": "repro.core.experiment",
+    "ExperimentSpec": "repro.core.experiment",
+    "FaultInjector": "repro.core.injection",
+    "FaultModel": "repro.core.faultmodels",
+    "InjectionRecord": "repro.core.injection",
+    "InjectionTarget": "repro.core.targets",
+    "IntensityLevel": "repro.core.plan",
+    "JailhouseSUT": "repro.core.sut",
+    "MultiRegisterBitFlip": "repro.core.faultmodels",
+    "OneShotAtCall": "repro.core.triggers",
+    "Outcome": "repro.core.outcomes",
+    "OutcomeClassifier": "repro.core.outcomes",
+    "OutcomeEvidence": "repro.core.outcomes",
+    "ProbabilisticTrigger": "repro.core.triggers",
+    "RecordStore": "repro.core.recording",
+    "RegisterClassBitFlip": "repro.core.faultmodels",
+    "Scenario": "repro.core.experiment",
+    "SingleBitFlip": "repro.core.faultmodels",
+    "SutConfig": "repro.core.sut",
+    "SystemUnderTest": "repro.core.sut",
+    "TestPlan": "repro.core.plan",
+    "Trigger": "repro.core.triggers",
+    "build_intensity_plan": "repro.core.plan",
+}
 
-__all__ = [
-    "AppliedFault",
-    "AvailabilityMonitor",
-    "AvailabilityReport",
-    "CLASSIFIERS",
-    "Campaign",
-    "CampaignConfig",
-    "CampaignResult",
-    "EveryNCalls",
-    "FAULT_MODELS",
-    "GUESTS",
-    "PartRef",
-    "Registry",
-    "RegistrySutFactory",
-    "SCENARIOS",
-    "SUTS",
-    "TARGETS",
-    "TRIGGERS",
-    "WORKLOADS",
-    "catalog_config",
-    "catalog_keys",
-    "load_campaign_config",
-    "resolve_sut_factory",
-    "Experiment",
-    "ExperimentRecord",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FaultInjector",
-    "FaultModel",
-    "InjectionRecord",
-    "InjectionTarget",
-    "IntensityLevel",
-    "JailhouseSUT",
-    "MultiRegisterBitFlip",
-    "OneShotAtCall",
-    "Outcome",
-    "OutcomeClassifier",
-    "OutcomeEvidence",
-    "ProbabilisticTrigger",
-    "RecordStore",
-    "RegisterClassBitFlip",
-    "Scenario",
-    "SingleBitFlip",
-    "SutConfig",
-    "SystemUnderTest",
-    "TestPlan",
-    "Trigger",
-    "build_intensity_plan",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -40,8 +40,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.experiment import ExperimentSpec, PAPER_TEST_DURATION
 from repro.core.plan import IntensityLevel, TestPlan
 from repro.core.policy import RunPolicy
@@ -55,6 +53,7 @@ from repro.core.registry import (
     suggest_close_matches,
 )
 from repro.errors import CampaignConfigError, CampaignError
+from repro.rng import seeded_rng
 
 #: ``[campaign]`` keys that make up the campaign's :class:`RunPolicy`, with
 #: the type each is coerced to.
@@ -379,7 +378,7 @@ class CampaignConfig:
                    len(self._fault_model_axis()) > 1, len(self.scenarios) > 1)
         plan = TestPlan(name=self.name, description=self.description)
         if self.sampling == "random":
-            rng = np.random.default_rng(self.sample_seed)
+            rng = seeded_rng(self.sample_seed)
             draws = rng.integers(0, len(combos), size=int(self.sample_size))
             for index, draw in enumerate(draws):
                 combo = combos[int(draw)]

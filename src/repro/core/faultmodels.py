@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.registry import FAULT_MODELS
 from repro.errors import InjectionError
@@ -29,6 +27,9 @@ from repro.hw.registers import (
     register_class,
     registers_in_class,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.faultmodels import AppliedFault, FaultModel
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import Trigger
@@ -21,6 +19,7 @@ from repro.errors import InjectionError
 from repro.hw.cpu import CpuCore
 from repro.hw.registers import TrapContext
 from repro.hypervisor.handlers import ArchHandlers
+from repro.rng import seeded_rng
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class FaultInjector:
         self.target = target
         self.trigger = trigger
         self.fault_model = fault_model
-        self.rng = np.random.default_rng(seed)
+        self.rng = seeded_rng(seed)
         self.max_injections = max_injections
         self.records: List[InjectionRecord] = []
         self.matching_calls = 0

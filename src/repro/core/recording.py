@@ -21,6 +21,12 @@ from repro.errors import AnalysisError, RecordSchemaError
 
 RECORD_SCHEMA_VERSION = 1
 
+#: Error handler every record reader decodes with. A byte that is not UTF-8
+#: becomes a lone surrogate instead of failing the whole read, and
+#: :meth:`ExperimentRecord.from_json` rejects the line holding it like any
+#: other malformed line.
+DECODE_ERRORS = "surrogateescape"
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -125,6 +131,12 @@ class ExperimentRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                # A lone surrogate: a byte that was not UTF-8 on disk.
+                raise AnalysisError("record line is not valid UTF-8") from None
         try:
             payload = json.loads(line)
         except (ValueError, RecursionError) as exc:
@@ -232,7 +244,8 @@ class RecordStore:
         million-record store streams in the same footprint as a ten-record
         one. A missing file streams zero records (mirroring :meth:`load`).
 
-        ``errors`` selects the malformed-line policy:
+        ``errors`` selects the malformed-line policy (a line that is not
+        UTF-8 is malformed like any other):
 
         * ``"strict"`` (default) — raise :class:`AnalysisError` naming the
           file and line number of the first malformed line;
@@ -251,7 +264,8 @@ class RecordStore:
     def _iter_records(self, errors: str) -> Iterator[ExperimentRecord]:
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("r", encoding="utf-8",
+                            errors=DECODE_ERRORS) as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
@@ -277,7 +291,8 @@ class RecordStore:
         """
         if not self.path.exists():
             return 0
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("r", encoding="utf-8",
+                            errors=DECODE_ERRORS) as handle:
             return sum(1 for line in handle if line.strip())
 
     def load(self) -> List[ExperimentRecord]:

@@ -18,8 +18,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.injection import FaultInjector
 from repro.core.monitors import AvailabilityMonitor, HypervisorMonitor, LogCollector
 from repro.core.outcomes import ManagementEvidence, OutcomeEvidence
@@ -40,6 +38,7 @@ from repro.hypervisor.config import (
 from repro.hypervisor.core import Hypervisor, HypervisorState
 from repro.hypervisor.handlers import TrapResult
 from repro.hypervisor.traps import TrapCode, encode_hsr
+from repro.rng import seeded_rng
 
 # Enum members the step loop compares by identity, bound once: a class
 # attribute lookup on an enum costs several times a module global.
@@ -271,8 +270,8 @@ class JailhouseSUT(SystemUnderTest):
         self._boot_snapshot = None
         self._boot_snapshot_seed = None
         self.config.seed = seed
-        self.linux.rng = np.random.default_rng(seed)
-        self.freertos.rng = np.random.default_rng(seed + 1)
+        self.linux.rng = seeded_rng(seed)
+        self.freertos.rng = seeded_rng(seed + 1)
 
     def install_injector(self, injector: FaultInjector) -> None:
         injector.install(self.hypervisor.handlers)

@@ -10,12 +10,13 @@ targeted isolation experiments.
 from __future__ import annotations
 
 import abc
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.registry import TRIGGERS
 from repro.errors import InjectionError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class Trigger(abc.ABC):

@@ -88,30 +88,29 @@ class Checkpoint:
         exact crash resume exists for, so the torn tail is discarded (its
         spec simply re-runs) and the file is rewritten without it so later
         appends do not merge into the partial line. Malformed records
-        *before* the last line mean real corruption and still raise.
+        *before* the last line mean real corruption and still raise,
+        naming the file and line.
         """
-        path = self.store.path
-        if not path.exists():
+        if not self.store.path.exists():
             return 0
-        with path.open("r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        lines = [line for line in lines if line]
         records: List[ExperimentRecord] = []
         torn_tail = False
-        for position, line in enumerate(lines):
-            try:
-                records.append(ExperimentRecord.from_json(line))
-            except RecordSchemaError:
-                # A record stamped with a newer schema_version is a valid
-                # record this tooling is too old to read — not a torn
-                # write; discarding it would destroy data, so resume
-                # refuses even when it is the last line.
+        try:
+            for record in self.store.iter_records():
+                records.append(record)
+        except RecordSchemaError:
+            # A record stamped with a newer schema_version is a valid
+            # record this tooling is too old to read — not a torn
+            # write; discarding it would destroy data, so resume
+            # refuses even when it is the last line.
+            raise
+        except AnalysisError:
+            # ``records`` holds every line before the malformed one, so that
+            # line is the last non-blank one exactly when it is the only
+            # line counted and not read.
+            if len(records) != self.store.count() - 1:
                 raise
-            except AnalysisError:
-                if position == len(lines) - 1:
-                    torn_tail = True
-                else:
-                    raise
+            torn_tail = True
         lines = [record.to_json() for record in records]
         if torn_tail:
             self.store.replace_all(lines)

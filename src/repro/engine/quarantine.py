@@ -65,21 +65,25 @@ class QuarantineLog:
 
         The log is advisory (the checkpoint is the source of truth for what
         completed), so a torn tail from a killed campaign is dropped rather
-        than fatal.
+        than fatal, and so is a line that is not UTF-8, not a JSON object
+        or has no string ``spec_id`` (:meth:`reoffer` matches on it).
         """
         if not self.path.exists():
             return []
         entries: List[Dict[str, object]] = []
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
+                    entry = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError):
+                    # UnicodeDecodeError is a ValueError too, as are the
+                    # decoder's digit limit and JSONDecodeError.
                     continue
-                if isinstance(entry, dict):
+                if (isinstance(entry, dict)
+                        and isinstance(entry.get("spec_id"), str)):
                     entries.append(entry)
         return entries
 

@@ -51,6 +51,7 @@ from repro.engine.quarantine import QuarantineLog, default_quarantine_path
 from repro.engine.scheduler import build_work_queue
 from repro.engine.workers import execute_pool, execute_serial, resolve_jobs
 from repro.errors import CampaignError
+from repro.rng import seeded_rng
 
 
 class CampaignEngine:
@@ -115,7 +116,12 @@ class CampaignEngine:
         Completion order is whatever the pool produces; results are slotted
         back by plan position, so the returned ``CampaignResult`` is
         indistinguishable from a sequential run over the same seeds.
+
+        Without numpy it raises :class:`~repro.errors.DependencyError`
+        before touching the checkpoint: inside an experiment the failure
+        would only quarantine every spec as ``infra_crash``.
         """
+        seeded_rng(0)              # fail on a missing numpy before any spec
         total = len(self.plan)
         slots: List[Optional[ExperimentResult]] = [None] * total
         aggregator = LiveAggregator(total)

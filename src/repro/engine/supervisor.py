@@ -37,8 +37,6 @@ wires it to the telemetry bus and the quarantine log.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 from collections import deque
@@ -170,7 +168,7 @@ class _Worker:
     """Parent-side handle for one supervised worker process."""
 
     def __init__(self, context, init_args: tuple) -> None:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        parent_conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_supervised_worker,
             args=(child_conn, init_args, os.getpid()), daemon=True)
@@ -458,6 +456,8 @@ class SupervisedPool:
     # -- main loop ----------------------------------------------------------------------
 
     def run(self) -> Iterator[Tuple[int, ExperimentResult]]:
+        from multiprocessing.connection import wait
+
         if not self._expected:
             return
         try:
@@ -472,8 +472,7 @@ class SupervisedPool:
                     handles = ([worker.conn for worker in self._workers]
                                + [worker.process.sentinel
                                   for worker in self._workers])
-                    multiprocessing.connection.wait(
-                        handles, timeout=self._wait_timeout())
+                    wait(handles, timeout=self._wait_timeout())
                     for worker in list(self._workers):
                         self._drain(worker, out)
                         if not worker.process.is_alive():

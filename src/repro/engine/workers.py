@@ -30,14 +30,13 @@ timeout is silently unavailable).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import (
     Experiment,
@@ -63,6 +62,9 @@ from repro.engine.scheduler import (
 )
 from repro.engine.supervisor import EventCallback, SupervisedPool, infra_result
 from repro.errors import CampaignError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from multiprocessing.context import BaseContext
 
 #: One streamed unit of completed work: (position in the plan, its result).
 IndexedResult = Tuple[int, ExperimentResult]
@@ -389,7 +391,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context() -> "BaseContext":
+    # Imported here, where a pool is built: a --jobs 1 run never loads it.
+    import multiprocessing
+
     # fork is only trusted on Linux: macOS lists it as available but CPython
     # made spawn the default there for a reason (forking a threaded process
     # can crash/deadlock workers).

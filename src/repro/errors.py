@@ -181,6 +181,15 @@ class MergeConflictError(FleetError):
     """
 
 
+class DependencyError(ReproError):
+    """A third-party package a command needs cannot be imported.
+
+    numpy is imported on the first seeded generator (:mod:`repro.rng`), so
+    reading records needs no numpy, and a campaign started without it stops
+    with this error before its first experiment.
+    """
+
+
 class SafetyAssessmentError(ReproError):
     """Raised by the ISO 26262 / SEooC assessment layer."""
 

@@ -27,15 +27,17 @@ import dataclasses
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.hw.board import BananaPiBoard
 from repro.hw.memory import AccessType
 from repro.hw.registers import Register, TrapContext
 from repro.hypervisor.cell import Cell
 from repro.hypervisor.traps import TrapCode
+from repro.rng import seeded_rng
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: Probability that a task dereferences its (corrupted) stack pointer before
 #: the scheduler reloads SP from the task control block at the next switch.
@@ -96,7 +98,7 @@ class GuestOS(abc.ABC):
         self.stats = GuestStats()
         self.cell: Optional[Cell] = None
         self.board: Optional[BananaPiBoard] = None
-        self.rng = np.random.default_rng(seed)
+        self.rng = seeded_rng(seed)
         self.stack_use_probability = stack_use_probability
         self.link_return_probability = link_return_probability
         self.crash_reason: Optional[str] = None

@@ -258,22 +258,30 @@ def validate_events_file(path: "str | Path") -> int:
     Checks each line parses, validates against the schema, and that sequence
     numbers are strictly increasing within each run (a ``seq`` reset to 0 is
     allowed — it marks a new campaign appending to the same file; any other
-    decrease means interleaved writers or lost events).
+    decrease means interleaved writers or lost events). Any defect,
+    including a line that is not UTF-8, raises :class:`ObservabilityError`
+    naming ``path:line``.
     """
     path = Path(path)
     if not path.exists():
         raise ObservabilityError(f"telemetry file does not exist: {path}")
     count = 0
     previous_seq: Optional[int] = None
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
             context = f"{path}:{lineno}"
             try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ObservabilityError(
+                    f"{context}: line is not valid UTF-8: {exc}") from None
+            if not line:
+                continue
+            try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, and the integer-length limit and nesting
+                # depth the decoder enforces outside it.
                 raise ObservabilityError(
                     f"{context}: malformed JSON: {exc}"
                 ) from None

@@ -424,6 +424,22 @@ class TestAnalyzeCli:
         assert code == 0
         assert json.loads(out)["skipped_lines"] == 1
 
+    def test_line_that_is_not_utf8_fails_strict_and_passes_skip(
+            self, capsys, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        write_store(path, MIXED_RECORDS[:2])
+        with path.open("ab") as handle:
+            handle.write(b"\xff\xfe x\n")
+        code, _, err = self.run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert err == f"error: {path}:3: record line is not valid UTF-8\n"
+        code, out, err = self.run_cli(capsys, "analyze", str(path),
+                                      "--skip-malformed", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["skipped_lines"] == 1
+        assert json.loads(out)["total"] == 2
+        assert "skipped 1 malformed record line" in err
+
 
 class TestCompareCli:
     def run_cli(self, capsys, *argv):

@@ -426,6 +426,22 @@ class TestObservabilityFlags:
         assert "watch dashboard:" in err
         assert "campaign: 2/" in out          # final summary on stdout
 
+    def test_watch_subcommand_skips_a_line_that_is_not_utf8(self, capsys,
+                                                            tmp_path):
+        records = tmp_path / "records.jsonl"
+        run_cli(capsys, "fig3", "--tests", "2", "--duration", "2",
+                "--output", str(records))
+        first, second = records.read_bytes().splitlines(keepends=True)
+        records.write_bytes(first + b"\xff\xfe x\n" + second)
+        code, out, err = run_cli(
+            capsys, "watch", str(records), "--total", "2", "--timeout", "10",
+            "--poll", "0.05",
+        )
+        assert code == 0
+        assert "skipping malformed record line" in err
+        assert "not valid UTF-8" in err
+        assert "campaign: 2/" in out          # tailing went on past it
+
     def test_watch_subcommand_empty_file_fails(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "watch", str(tmp_path / "never.jsonl"),
@@ -541,10 +557,11 @@ class TestTailLines:
         import time as _time
         from repro.cli import _tail_lines
         path = tmp_path / "records.jsonl"
-        path.write_text("one\ntwo\npartial")
+        path.write_bytes(b"one\n\xff\xfe x\ntwo\npartial")
         lines = list(_tail_lines(path, poll_s=0.01,
                                  deadline=_time.monotonic()))
-        assert lines == ["one", "two"]
+        # Bytes that are not UTF-8 still make a line, which from_json rejects.
+        assert lines == ["one", "\udcff\udcfe x", "two"]
 
     def test_shrunk_file_reseeks_to_start_and_reports(self, tmp_path):
         import time as _time

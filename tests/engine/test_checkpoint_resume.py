@@ -150,6 +150,22 @@ class TestCheckpointUnit:
         with pytest.raises(AnalysisError):
             Checkpoint(path).load()
 
+    def test_line_that_is_not_utf8_is_malformed(self, plan, tmp_path):
+        from repro.errors import AnalysisError
+        path = tmp_path / "run.jsonl"
+        interrupted_run(plan, path, upto=2)
+        whole = path.read_bytes()
+        # Last: a torn tail, dropped and rewritten away.
+        path.write_bytes(whole + b"\xff\xfe x\n")
+        assert Checkpoint(path).load() == 2
+        assert path.read_bytes() == whole
+        # Earlier: corruption, named by file and line.
+        path.write_bytes(b"\xff\xfe x\n" + whole)
+        with pytest.raises(AnalysisError) as caught:
+            Checkpoint(path).load()
+        assert str(caught.value) == (
+            f"{path}:1: record line is not valid UTF-8")
+
     def test_identity_covers_timing_parameters(self, plan):
         from dataclasses import replace
         spec = list(plan.specs)[0]
@@ -260,6 +276,38 @@ class TestCheckpointUnit:
         records = RecordStore(path).load()
         assert len(records) == len(plan)
         assert all(record.duration == pytest.approx(3.0) for record in records)
+
+
+class TestResumeCli:
+    """``run --resume`` on a checkpoint holding bytes that are not UTF-8."""
+
+    ARGV = ["run", "fig3", "--tests", "2", "--duration", "1"]
+
+    def checkpoint(self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "ck.jsonl"
+        assert main([*self.ARGV, "--resume", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_torn_tail_reruns_its_spec(self, tmp_path, capsys):
+        from repro.cli import main
+        path = self.checkpoint(tmp_path, capsys)
+        whole = path.read_bytes()
+        first = whole.splitlines(keepends=True)[0]
+        path.write_bytes(first + b"\xff\xfe x\n")
+        assert main([*self.ARGV, "--resume", str(path)]) == 0
+        assert path.read_bytes() == whole
+
+    def test_earlier_line_is_one_error_naming_it(self, tmp_path, capsys):
+        from repro.cli import main
+        path = self.checkpoint(tmp_path, capsys)
+        corrupt = b"\xff\xfe x\n" + path.read_bytes()
+        path.write_bytes(corrupt)
+        assert main([*self.ARGV, "--resume", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: record line is not valid UTF-8\n")
+        assert path.read_bytes() == corrupt
 
 
 class TestAtomicFlush:

@@ -318,3 +318,20 @@ class TestEngineQuarantineFlow:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"torn": ')
         assert [entry["spec"] for entry in log.entries()] == ["a"]
+
+    @pytest.mark.parametrize("line", [
+        b"\xff\xfe x", b"[" * 100_000, b"1" * 5000,
+        b'{"spec": "b", "spec_id": []}',
+    ], ids=["not-utf8", "deep-nesting", "long-integer", "unhashable-spec-id"])
+    def test_quarantine_log_skips_foreign_lines(self, tmp_path, line):
+        """``--resume`` reads the sidecar: a line another tool wrote is
+        skipped like a torn one, not a traceback."""
+        path = tmp_path / "q.jsonl"
+        log = QuarantineLog(path)
+        with path.open("ab") as handle:
+            handle.write(line + b"\n")
+        log.append(spec="a", spec_id="id-a", seed=1, scenario="s",
+                   attempts=1, reason="crash", error="x")
+        assert [entry["spec"] for entry in log.entries()] == ["a"]
+        assert log.reoffer(paper_figure3_plan(num_tests=1,
+                                              duration=1.0)) == 0

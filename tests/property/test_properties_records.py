@@ -1,9 +1,10 @@
 """Property test for the record parser, a trust boundary.
 
 Record lines come from disk: checkpoints a SIGKILL tore, stores another
-tool wrote, files merged from fleet workers. Whatever a line holds, reading
-it answers with a typed ``ReproError`` (the CLI's one ``error:`` line and
-exit code), never a ``TypeError`` or ``KeyError`` traceback.
+tool wrote, files merged from fleet workers. Whatever a line holds, even
+bytes that are not UTF-8, reading it answers with a typed ``ReproError``
+(the CLI's one ``error:`` line and exit code), never a ``TypeError``,
+``KeyError`` or ``UnicodeDecodeError`` traceback.
 """
 
 import json
@@ -76,3 +77,23 @@ class TestRecordParsing:
                 pass
         except ReproError:
             pass
+
+    @given(lines=st.lists(record_lines.map(str.encode)
+                          | st.binary(max_size=40), max_size=6),
+           errors=st.sampled_from(["strict", "skip"]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_record_store_reading_raises_only_repro_error_on_bytes(
+            self, lines, errors, tmp_path):
+        """Property: ``RecordStore.iter_records`` raises only ReproError on
+        arbitrary byte lines, UTF-8 or not, under either policy; ``count``
+        never raises and bounds what iteration yields."""
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        store = RecordStore(path)
+        try:
+            read = sum(1 for _ in store.iter_records(errors=errors))
+        except ReproError:
+            pass
+        else:
+            assert read <= store.count()
