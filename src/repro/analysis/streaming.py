@@ -68,8 +68,9 @@ class StreamingAnalyzer:
         self._register_class_totals: Dict[str, int] = defaultdict(int)
 
     def add(self, record: ExperimentRecord) -> None:
-        self.tally.add(record.outcome_enum, injections=record.injections)
-        self.management.add(record)
+        outcome = record.outcome_enum
+        self.tally.add(outcome, injections=record.injections)
+        self.management.add(record, outcome)
         for register_class, count in record.register_class_counts.items():
             self._register_class_totals[register_class] += count
 

@@ -25,6 +25,12 @@ from repro.core.outcomes import Outcome
 from repro.core.recording import ExperimentRecord
 from repro.errors import AnalysisError
 
+# Bound once for the per-record tallies: on CPython 3.11 an enum class
+# attribute lookup costs several times a module global.
+_CORRECT = Outcome.CORRECT
+_INCONSISTENT_STATE = Outcome.INCONSISTENT_STATE
+_PANIC_PARK = Outcome.PANIC_PARK
+
 
 @dataclass(frozen=True)
 class OutcomeShare:
@@ -196,12 +202,12 @@ class OutcomeTally:
 
     def add(self, outcome: Outcome, *, injections: int = 0) -> None:
         self.completed += 1
-        if outcome.is_failure:
+        if outcome is not _CORRECT:     # Outcome.is_failure
             self.failures += 1
         self.injections += injections
-        self.outcome_counts[outcome.value] = (
-            self.outcome_counts.get(outcome.value, 0) + 1
-        )
+        # ``_value_`` is a plain attribute; ``.value`` is a descriptor call.
+        # Every member's count starts at zero.
+        self.outcome_counts[outcome._value_] += 1
 
     def distribution(self) -> DistributionSummary:
         return distribution_from_counts(self.outcome_counts, self.completed)
@@ -229,16 +235,16 @@ class ManagementTally:
         self.inconsistent_states = 0
         self.panics = 0
 
-    def add(self, record: ExperimentRecord) -> None:
+    def add(self, record: ExperimentRecord, outcome: Outcome) -> None:
+        """Count ``record``, whose ``outcome_enum`` the caller resolved."""
         self.total += 1
         if record.create_attempted:
             self.create_attempts += 1
             if not record.create_succeeded:
                 self.create_rejections += 1
-        outcome = record.outcome_enum
-        if outcome is Outcome.INCONSISTENT_STATE:
+        if outcome is _INCONSISTENT_STATE:
             self.inconsistent_states += 1
-        elif outcome is Outcome.PANIC_PARK:
+        elif outcome is _PANIC_PARK:
             self.panics += 1
 
     def summary(self) -> ManagementSummary:
@@ -259,7 +265,7 @@ def management_summary(records: Iterable[ExperimentRecord]) -> ManagementSummary
     """Summarize cell-management behaviour under fault (E2/E3 analysis)."""
     tally = ManagementTally()
     for record in records:
-        tally.add(record)
+        tally.add(record, record.outcome_enum)
     return tally.summary()
 
 

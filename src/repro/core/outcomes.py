@@ -64,6 +64,12 @@ class Outcome(enum.Enum):
         return self in (Outcome.PANIC_PARK, Outcome.SILENT_FAILURE)
 
 
+#: Stored value -> member. Readers resolve a record's outcome with one lookup
+#: here instead of an ``Outcome(value)`` call per use.
+OUTCOME_BY_VALUE: Dict[str, Outcome] = {
+    outcome.value: outcome for outcome in Outcome}
+
+
 @dataclass
 class ManagementEvidence:
     """Results of cell-management operations performed during the test.

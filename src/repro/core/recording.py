@@ -13,10 +13,10 @@ import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
-from repro.core.outcomes import ManagementEvidence, Outcome
+from repro.core.outcomes import OUTCOME_BY_VALUE, ManagementEvidence, Outcome
 from repro.errors import AnalysisError, RecordSchemaError
 
 RECORD_SCHEMA_VERSION = 1
@@ -78,7 +78,11 @@ class ExperimentRecord:
 
     @property
     def outcome_enum(self) -> Outcome:
-        return Outcome(self.outcome)
+        try:
+            return OUTCOME_BY_VALUE[self.outcome]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"{self.outcome!r} is not a valid Outcome") from None
 
     @property
     def spec_id(self) -> Optional[str]:
@@ -131,6 +135,12 @@ class ExperimentRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
+        """Decode one record line.
+
+        A line that is not a record object, or whose values break their
+        field's JSON type, raises :class:`AnalysisError` naming its first
+        problem.
+        """
         if not line.isascii():
             try:
                 line.encode("utf-8")
@@ -147,7 +157,7 @@ class ExperimentRecord:
             raise AnalysisError("record line does not contain a JSON object")
         version = payload.pop("schema_version", None)
         if version is not None:
-            if isinstance(version, bool) or not isinstance(version, int):
+            if type(version) is not int:
                 raise AnalysisError(
                     f"record schema_version must be an integer, got {version!r}")
             if version > RECORD_SCHEMA_VERSION:
@@ -156,23 +166,101 @@ class ExperimentRecord:
                     f"supported version {RECORD_SCHEMA_VERSION}; this record "
                     f"was written by a newer repro and its fields could be "
                     f"misinterpreted — upgrade before analyzing it")
-        unknown = payload.keys() - _RECORD_FIELDS
-        if unknown:
-            raise AnalysisError(f"record has unknown fields: {sorted(unknown)}")
-        missing = _REQUIRED_FIELDS - payload.keys()
-        if missing:
-            raise AnalysisError(f"record is missing fields: {sorted(missing)}")
-        return cls(**payload)
+        # One pass over the field table: type-check each value and set it
+        # in field order, without the generated ``__init__`` (its keyword
+        # matching alone costs as much as ``json.loads``). Every field is
+        # set, and a default dict is a fresh one per record.
+        record = object.__new__(cls)
+        set_field = object.__setattr__      # the frozen class's one raises
+        defaulted = 0
+        for name, types, default in _FIELDS:
+            try:
+                value = payload[name]
+            except KeyError:
+                if default is None:
+                    raise _field_error(payload) from None
+                value = default()
+                defaulted += 1
+            else:
+                if type(value) not in types:
+                    raise _field_error(payload)
+            set_field(record, name, value)
+        # Every key was a field exactly when the payload holds as many keys
+        # as the pass took from it.
+        if (len(payload) != len(_FIELDS) - defaulted
+                or record.outcome not in OUTCOME_BY_VALUE):
+            raise _field_error(payload)
+        for count in record.register_class_counts.values():
+            if type(count) is not int:
+                raise _field_error(payload)
+        set_field(record, "schema_version", RECORD_SCHEMA_VERSION)
+        return record
 
 
-#: Fields a record line may carry (``schema_version`` is popped first).
-_RECORD_FIELDS = frozenset(
-    name for name in ExperimentRecord.__dataclass_fields__
+#: What a JSON value decodes to, named for error messages.
+_JSON_NAMES: Dict[type, str] = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null"}
+
+#: The exact types ``json.loads`` may give each annotation. A ``bool`` is
+#: not an ``int`` here, and a ``float`` field takes an integer too.
+_JSON_TYPES: Dict[str, Tuple[type, ...]] = {
+    "str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+    "Dict[str, int]": (dict,), "Dict[str, object]": (dict,)}
+
+
+def _field_default(spec) -> Optional[Callable[[], object]]:
+    """A field's default as a zero-argument factory; ``None`` if required."""
+    if spec.default_factory is not MISSING:
+        return spec.default_factory
+    if spec.default is not MISSING:
+        return lambda: spec.default
+    return None
+
+
+#: ``(name, accepted JSON types, default factory or None if required)`` of
+#: every field a record line may carry, in field order. ``schema_version``
+#: is popped and checked before the pass, and always set to the current
+#: version.
+_FIELDS: Tuple[Tuple[str, Tuple[type, ...],
+                     Optional[Callable[[], object]]], ...] = tuple(
+    (name, _JSON_TYPES[spec.type], _field_default(spec))
+    for name, spec in ExperimentRecord.__dataclass_fields__.items()
     if name != "schema_version")
-#: Fields without a default: a line lacking any of them is malformed.
-_REQUIRED_FIELDS = frozenset(
-    name for name, spec in ExperimentRecord.__dataclass_fields__.items()
-    if spec.default is MISSING and spec.default_factory is MISSING)
+
+
+def _field_error(payload: dict) -> AnalysisError:
+    """Name the first problem of a record object :meth:`from_json` rejected.
+
+    Unknown fields come first, then missing ones, then the first value of
+    the wrong type in field order, then the content rules: ``outcome`` names
+    an :class:`Outcome` and ``register_class_counts`` maps to integers.
+    """
+    unknown = payload.keys() - {name for name, _, _ in _FIELDS}
+    if unknown:
+        return AnalysisError(f"record has unknown fields: {sorted(unknown)}")
+    missing = [name for name, _, default in _FIELDS
+               if default is None and name not in payload]
+    if missing:
+        return AnalysisError(f"record is missing fields: {sorted(missing)}")
+    for name, types, _ in _FIELDS:
+        if name in payload and type(payload[name]) not in types:
+            # The widest accepted type names them all: a number covers
+            # the integers.
+            return AnalysisError(
+                f"record field {name!r} must be {_JSON_NAMES[types[-1]]}, "
+                f"got {_JSON_NAMES[type(payload[name])]}")
+    outcome = payload["outcome"]
+    if outcome not in OUTCOME_BY_VALUE:
+        return AnalysisError(
+            f"record field 'outcome' must name an Outcome "
+            f"({', '.join(OUTCOME_BY_VALUE)}), got {outcome!r}")
+    for key, count in payload.get("register_class_counts", {}).items():
+        if type(count) is not int:
+            return AnalysisError(
+                f"record field 'register_class_counts' must map each name "
+                f"to an integer, got {_JSON_NAMES[type(count)]} for {key!r}")
+    raise AssertionError(f"record object passes every check: {payload!r}")
 
 
 class RecordStore:

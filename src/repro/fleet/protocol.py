@@ -95,8 +95,14 @@ def validate_message(data: object, *, context: str = "fleet message") -> dict:
     return data
 
 
-def require_fields(data: dict, fields: List[str], *,
+def require_fields(data: object, fields: List[str], *,
                    context: str) -> None:
+    """Check ``data`` is an object holding every name in ``fields``.
+
+    A string is not an object: ``in`` would test it for substrings.
+    """
+    if not isinstance(data, dict):
+        raise FleetProtocolError(f"{context}: not a JSON object")
     missing = [field for field in fields if field not in data]
     if missing:
         raise FleetProtocolError(

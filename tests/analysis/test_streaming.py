@@ -440,6 +440,39 @@ class TestAnalyzeCli:
         assert json.loads(out)["total"] == 2
         assert "skipped 1 malformed record line" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("outcome", "bogus", "record field 'outcome' must name an Outcome "),
+        ("register_class_counts", [], "record field 'register_class_counts' "
+                                      "must be an object, got an array"),
+        ("injections", "x",
+         "record field 'injections' must be an integer, got a string"),
+        ("extras", None, "record field 'extras' must be an object, got null"),
+        ("spec_name", [],
+         "record field 'spec_name' must be a string, got an array"),
+    ])
+    def test_field_of_the_wrong_type_fails_strict_and_passes_skip(
+            self, capsys, tmp_path, field, value, message):
+        # Regression: each of these values reached the fold or the record
+        # views and ended the CLI in a ValueError, AttributeError or
+        # TypeError traceback.
+        path = tmp_path / "typed.jsonl"
+        write_store(path, MIXED_RECORDS[:2])
+        payload = json.loads(MIXED_RECORDS[2].to_json())
+        payload[field] = value
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload) + "\n")
+        code, out, err = self.run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}:3: {message}")
+        assert err.count("\n") == 1
+        code, out, err = self.run_cli(capsys, "analyze", str(path),
+                                      "--skip-malformed", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["skipped_lines"] == 1
+        assert json.loads(out)["total"] == 2
+        assert "skipped 1 malformed record line" in err
+
 
 class TestCompareCli:
     def run_cli(self, capsys, *argv):

@@ -6,6 +6,8 @@ guarantees), and saving records must work even when the output directory does
 not exist yet.
 """
 
+import json
+
 import pytest
 
 from repro.core.campaign import Campaign
@@ -47,7 +49,6 @@ class TestJsonRoundTrip:
             ExperimentRecord.from_json("[1, 2, 3]")
 
     def test_unknown_fields_are_rejected(self, records):
-        import json
         payload = json.loads(records[0].to_json())
         payload["bogus_field"] = 1
         with pytest.raises(AnalysisError, match="unknown fields"):
@@ -58,13 +59,72 @@ class TestJsonRoundTrip:
             ExperimentRecord.from_json('{"spec_name": "only-a-name"}')
 
     def test_every_missing_required_field_is_named(self, records):
-        import json
         payload = json.loads(records[0].to_json())
         for name in ("intensity", "rationale"):
             del payload[name]
         with pytest.raises(AnalysisError,
                            match=r"missing fields: \['intensity', 'rationale'\]"):
             ExperimentRecord.from_json(json.dumps(payload))
+
+    def test_default_dicts_are_fresh_per_record(self, records):
+        payload = json.loads(records[0].to_json())
+        del payload["extras"], payload["register_class_counts"]
+        first = ExperimentRecord.from_json(json.dumps(payload))
+        second = ExperimentRecord.from_json(json.dumps(payload))
+        assert first.extras == second.extras == {}
+        assert first.extras is not second.extras
+        assert first.register_class_counts is not second.register_class_counts
+        first.extras["spec_id"] = "x"
+        assert second.extras == {}
+
+    def test_every_field_is_set_in_field_order(self, records):
+        record = ExperimentRecord.from_json(records[0].to_json())
+        assert list(vars(record)) == list(ExperimentRecord.__dataclass_fields__)
+        # The decoder fills records without ``__init__``, so it would skip
+        # a ``__post_init__``: adding one means decoding through it.
+        assert not hasattr(ExperimentRecord, "__post_init__")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("injections", True, "'injections' must be an integer, got a boolean"),
+        ("seed", 1.5, "'seed' must be an integer, got a number"),
+        ("duration", False, "'duration' must be a number, got a boolean"),
+        ("duration", "2", "'duration' must be a number, got a string"),
+        ("create_attempted", 1,
+         "'create_attempted' must be a boolean, got an integer"),
+        ("rationale", None, "'rationale' must be a string, got null"),
+        ("extras", [], "'extras' must be an object, got an array"),
+        ("outcome", "CORRECT", "'outcome' must name an Outcome"),
+        ("register_class_counts", {"gpr": True},
+         "'register_class_counts' must map each name to an integer, got a "
+         "boolean for 'gpr'"),
+    ])
+    def test_each_field_value_is_type_checked(self, records, field, value,
+                                              message):
+        payload = json.loads(records[0].to_json())
+        payload[field] = value
+        with pytest.raises(AnalysisError, match=f"^record field {message}"):
+            ExperimentRecord.from_json(json.dumps(payload))
+
+    def test_duration_takes_an_integer(self, records):
+        payload = json.loads(records[0].to_json())
+        payload["duration"] = 2
+        assert ExperimentRecord.from_json(json.dumps(payload)).duration == 2
+
+    def test_unknown_and_missing_fields_are_named_before_types(self, records):
+        payload = json.loads(records[0].to_json())
+        payload["injections"] = "x"
+        del payload["seed"]
+        with pytest.raises(AnalysisError, match="missing fields: \\['seed'\\]"):
+            ExperimentRecord.from_json(json.dumps(payload))
+        payload["bogus_field"] = 1
+        with pytest.raises(AnalysisError, match="unknown fields"):
+            ExperimentRecord.from_json(json.dumps(payload))
+
+    def test_outcome_enum_of_an_unknown_value_raises_value_error(self, records):
+        from dataclasses import replace
+        for outcome in ("bogus", ["not", "hashable"]):
+            with pytest.raises(ValueError, match="is not a valid Outcome"):
+                replace(records[0], outcome=outcome).outcome_enum
 
     def test_to_result_rebuilds_the_result_view(self, campaign_result, records):
         for original, record in zip(campaign_result.results, records):

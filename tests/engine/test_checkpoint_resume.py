@@ -1,5 +1,7 @@
 """Tests for checkpointing and killed-then-resumed campaigns."""
 
+import json
+
 import pytest
 
 from repro.core.campaign import Campaign
@@ -278,8 +280,29 @@ class TestCheckpointUnit:
         assert all(record.duration == pytest.approx(3.0) for record in records)
 
 
+#: A checkpoint line with one field of the wrong type or content, and the
+#: start of the error it gets. Each ended ``run --resume`` or a later
+#: reader in a traceback before field types were checked.
+BAD_FIELDS = [
+    ("outcome", "bogus", "record field 'outcome' must name an Outcome "),
+    ("register_class_counts", [], "record field 'register_class_counts' "
+                                  "must be an object, got an array"),
+    ("injections", "x",
+     "record field 'injections' must be an integer, got a string"),
+    ("extras", None, "record field 'extras' must be an object, got null"),
+    ("spec_name", [], "record field 'spec_name' must be a string, got an array"),
+]
+
+
+def retyped(line: bytes, field: str, value) -> bytes:
+    """``line`` with ``field`` set to ``value``."""
+    payload = json.loads(line)
+    payload[field] = value
+    return json.dumps(payload, sort_keys=True).encode() + b"\n"
+
+
 class TestResumeCli:
-    """``run --resume`` on a checkpoint holding bytes that are not UTF-8."""
+    """``run --resume`` on a checkpoint holding a malformed line."""
 
     ARGV = ["run", "fig3", "--tests", "2", "--duration", "1"]
 
@@ -307,6 +330,31 @@ class TestResumeCli:
         assert main([*self.ARGV, "--resume", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}:1: record line is not valid UTF-8\n")
+        assert path.read_bytes() == corrupt
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_retyped_tail_reruns_its_spec(self, tmp_path, capsys, field,
+                                          value, message):
+        from repro.cli import main
+        path = self.checkpoint(tmp_path, capsys)
+        whole = path.read_bytes()
+        first, last = whole.splitlines(keepends=True)
+        path.write_bytes(first + retyped(last, field, value))
+        assert main([*self.ARGV, "--resume", str(path)]) == 0
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_retyped_earlier_line_is_one_error_naming_it(
+            self, tmp_path, capsys, field, value, message):
+        from repro.cli import main
+        path = self.checkpoint(tmp_path, capsys)
+        first, last = path.read_bytes().splitlines(keepends=True)
+        corrupt = retyped(first, field, value) + last
+        path.write_bytes(corrupt)
+        assert main([*self.ARGV, "--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: {message}")
+        assert err.count("\n") == 1
         assert path.read_bytes() == corrupt
 
 

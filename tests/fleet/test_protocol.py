@@ -47,6 +47,21 @@ class TestMessages:
         with pytest.raises(FleetProtocolError, match="host_id"):
             require_fields(envelope(), ["host_id"], context="test")
 
+    @pytest.mark.parametrize("data", [5, None, "host_id", ["host_id"]])
+    def test_require_fields_rejects_what_is_not_an_object(self, data):
+        # Regression: a number or null raised TypeError, and a string
+        # holding the field names passed the substring test.
+        with pytest.raises(FleetProtocolError, match="test: not a JSON object"):
+            require_fields(data, ["host_id"], context="test")
+
+    def test_lease_that_is_not_an_object_is_a_protocol_error(self,
+                                                            monkeypatch):
+        client = FleetClient("http://127.0.0.1:9")
+        monkeypatch.setattr(client, "_request",
+                            lambda *args: envelope(lease=5))
+        with pytest.raises(FleetProtocolError, match="lease response"):
+            client.lease(host_id="h")
+
 
 @pytest.fixture()
 def server(tmp_path):

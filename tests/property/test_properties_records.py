@@ -8,9 +8,12 @@ bytes that are not UTF-8, reading it answers with a typed ``ReproError``
 """
 
 import json
+from dataclasses import MISSING
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.streaming import analyze_records
+from repro.core.outcomes import Outcome
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.errors import ReproError
 
@@ -42,6 +45,48 @@ def record_objects(draw):
         st.sampled_from(sorted(VALID) + ["bogus"]), json_values,
         max_size=4)))
     return payload
+
+
+#: A value of each annotation's own JSON type.
+TYPED_VALUES = {
+    "str": st.text(max_size=8),
+    "int": st.integers(),
+    "float": st.integers() | st.floats(),
+    "bool": st.booleans(),
+    "Dict[str, int]": st.dictionaries(st.text(max_size=8), st.integers(),
+                                      max_size=3),
+    "Dict[str, object]": st.dictionaries(st.text(max_size=8), json_values,
+                                         max_size=3),
+}
+
+
+@st.composite
+def typed_record_objects(draw):
+    """A record object whose fields hold values of their own types, with
+    fields that have a default sometimes left out."""
+    payload = {}
+    for name, spec in ExperimentRecord.__dataclass_fields__.items():
+        if name == "schema_version":
+            if draw(st.booleans()):
+                payload[name] = draw(st.integers(max_value=1))
+            continue
+        has_default = (spec.default is not MISSING
+                       or spec.default_factory is not MISSING)
+        if has_default and draw(st.booleans()):
+            continue
+        payload[name] = draw(
+            st.sampled_from([outcome.value for outcome in Outcome])
+            if name == "outcome" else TYPED_VALUES[spec.type])
+    return payload
+
+
+def holds_nan(value) -> bool:
+    """Whether a decoded JSON value holds a NaN, which equals nothing."""
+    if isinstance(value, float):
+        return value != value
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(holds_nan, value))
 
 
 #: Record-shaped objects, other JSON documents, and plain text.
@@ -97,3 +142,37 @@ class TestRecordParsing:
             pass
         else:
             assert read <= store.count()
+
+
+class TestDecoderMatchesConstructor:
+    """The table-driven decoder, pinned to the dataclass's own ``__init__``."""
+
+    @given(payload=typed_record_objects())
+    @settings(max_examples=200, deadline=None)
+    def test_well_typed_record_object_decodes(self, payload):
+        """Property: a record object whose fields hold their own types is
+        accepted."""
+        ExperimentRecord.from_json(json.dumps(payload))
+
+    @given(payload=typed_record_objects() | record_objects())
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_line_is_the_constructed_record(self, payload):
+        """Property: a line ``from_json`` accepts decodes to
+        ``ExperimentRecord(**payload)``, survives ``to_json``, and analyses
+        and restores without raising."""
+        try:
+            record = ExperimentRecord.from_json(json.dumps(payload))
+        except ReproError:
+            return
+        payload.pop("schema_version", None)
+        reference = ExperimentRecord(**payload)
+        again = ExperimentRecord.from_json(record.to_json())
+        if not holds_nan(payload):
+            assert record == reference
+            assert again == record
+        # Exact types too (``1 == 1.0 == True``), and NaN-proof text.
+        for name in ExperimentRecord.__dataclass_fields__:
+            assert type(getattr(record, name)) is type(getattr(reference, name))
+        assert record.to_json() == reference.to_json() == again.to_json()
+        analyze_records([record]).to_dict()
+        record.to_result()
