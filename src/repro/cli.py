@@ -30,7 +30,7 @@ reproduction without writing Python:
   submissions, shards their plans, and leases shards (TTL + heartbeats,
   lost-host requeue, work stealing, host quarantine) to worker agents over
   the versioned ``repro-fleet/v1`` JSON/HTTP protocol; results merge
-  idempotently by spec identity into atomic per-campaign record stores,
+  idempotently by spec identity into fsynced per-campaign record stores,
   and ``--resume`` recovers a killed coordinator losslessly;
 * ``repro-fi fleet-worker`` — one worker agent: joins a coordinator, pulls
   shard leases, runs them through the ordinary campaign engine (``--jobs``
@@ -276,7 +276,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
             progress=progress,
             telemetry=telemetry,
             policy=policy,
-            flush_interval_s=getattr(args, "flush_interval", 0.0) or 0.0,
         )
         result = engine.run()
         if hub is not None:
@@ -992,12 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "config's max_worker_restarts for run, "
                                   "else 8); deliberate --timeout kills are "
                                   "not counted")
-        command.add_argument("--flush-interval", type=float, default=0.0,
-                             metavar="SECONDS",
-                             help="batch atomic checkpoint flushes to at "
-                                  "most one per SECONDS (default 0: every "
-                                  "completed experiment flushes before the "
-                                  "campaign moves on)")
         command.add_argument("--verbose", action="store_true")
         command.add_argument("--progress-interval", type=float, default=0.0,
                              metavar="SECONDS",

@@ -199,8 +199,7 @@ class Campaign:
             checkpoint_path: Optional[str] = None,
             resume: bool = False,
             telemetry=None,
-            policy: RunPolicy = RunPolicy(),
-            flush_interval_s: float = 0.0) -> CampaignResult:
+            policy: RunPolicy = RunPolicy()) -> CampaignResult:
         """Execute every experiment in the plan.
 
         Execution is delegated to the :class:`~repro.engine.runner.
@@ -221,7 +220,6 @@ class Campaign:
         past ``timeout_s`` or kills its worker ends as an ``infra_*`` result
         instead of aborting the campaign, and with a checkpoint it is logged
         to ``<checkpoint>.quarantine`` for ``resume`` to re-offer.
-        ``flush_interval_s`` batches the atomic checkpoint flushes.
         """
         # Imported here: the engine returns this module's CampaignResult, so a
         # top-level import would be circular.
@@ -243,7 +241,6 @@ class Campaign:
             progress=engine_progress,
             telemetry=telemetry,
             policy=policy,
-            flush_interval_s=flush_interval_s,
         )
         campaign_result = engine.run()
         if golden:

@@ -263,6 +263,49 @@ def _field_error(payload: dict) -> AnalysisError:
     raise AssertionError(f"record object passes every check: {payload!r}")
 
 
+def append_line(path: Path, line: str) -> None:
+    """Durably append ``line`` and its newline to the JSON-Lines file ``path``.
+
+    The one append every append-only file goes through: the checkpoint and
+    both quarantine sidecars. A writer killed between a line and its newline
+    leaves a file whose last byte is not a newline; this append writes one
+    first, so the new line never merges into the old one. The write is
+    flushed and fsynced before this returns, and when it creates the file
+    the directory is fsynced too, as :meth:`RecordStore.replace_all` does.
+    A SIGKILL mid-append leaves at most a torn last line; resume drops it.
+    """
+    data = line.encode("utf-8") + b"\n"
+    created = not path.exists()
+    if created:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("ab+") as handle:
+        end = handle.tell()
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                data = b"\n" + data
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if created:
+        _fsync_directory(path.parent)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Best-effort fsync of ``directory``, so a new or renamed entry in it
+    survives a crash."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 class RecordStore:
     """JSON-Lines persistence for experiment records."""
 
@@ -275,9 +318,8 @@ class RecordStore:
             parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, record: ExperimentRecord) -> None:
-        self._ensure_parent()
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(record.to_json() + "\n")
+        """Durably append one record (see :func:`append_line`)."""
+        append_line(self.path, record.to_json())
 
     def write_all(self, records: Iterable[ExperimentRecord]) -> int:
         self._ensure_parent()
@@ -288,40 +330,27 @@ class RecordStore:
                 count += 1
         return count
 
-    def replace_all(self, records: Iterable["ExperimentRecord | str"]) -> int:
+    def replace_all(self, records: Iterable[ExperimentRecord]) -> int:
         """Atomically replace the store with exactly ``records``.
 
         Writes a sibling temp file, fsyncs it, and renames it over the store
         (then best-effort fsyncs the directory so the rename itself is
         durable). A reader — or a resuming campaign — therefore sees either
-        the complete old file or the complete new one, never a torn middle:
-        this is what makes checkpoints crash-safe under SIGKILL.
-
-        A ``str`` item is a line :meth:`ExperimentRecord.to_json` already
-        produced; it is written as is (the checkpoint keeps those lines so
-        each flush does not serialize its whole record set again).
+        the complete old file or the complete new one, never a torn middle.
+        For rewrites that change more than the end of a file; growing one
+        goes through :meth:`append`.
         """
         self._ensure_parent()
         tmp = self.path.with_name(self.path.name + ".tmp")
         count = 0
         with tmp.open("w", encoding="utf-8") as handle:
             for record in records:
-                line = record if isinstance(record, str) else record.to_json()
-                handle.write(line + "\n")
+                handle.write(record.to_json() + "\n")
                 count += 1
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-        try:
-            parent_fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:
-            return count
-        try:
-            os.fsync(parent_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(parent_fd)
+        _fsync_directory(self.path.parent)
         return count
 
     def iter_records(self, *, errors: str = "strict") -> Iterator[ExperimentRecord]:

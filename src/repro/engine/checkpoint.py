@@ -2,13 +2,14 @@
 
 The paper's campaigns run for hours (hundreds of one-minute tests per target
 and intensity); losing a run to a crash or preemption means re-paying all of
-it. The engine therefore streams every completed
+it. The engine therefore appends every completed
 :class:`~repro.core.recording.ExperimentRecord` to a JSON-Lines checkpoint
 (a plain :class:`~repro.core.recording.RecordStore` file — the same format
-``--output`` and the analysis layer use), flushed **atomically** (temp file
-+ fsync + rename, see :meth:`Checkpoint.flush`) so even a SIGKILL mid-write
-leaves a complete, loadable file, and on resume skips every spec whose
-record is already present.
+``--output`` and the analysis layer use), fsynced before the campaign moves
+on (see :func:`~repro.core.recording.append_line`), and on resume skips
+every spec whose record is already present. A SIGKILL mid-append leaves at
+most a torn last line, which :meth:`Checkpoint.load` drops: its spec simply
+re-runs.
 
 Completed work is keyed on :meth:`ExperimentSpec.identity` — a hash of name,
 seed, scenario, and the injection setup — which the checkpoint stamps into
@@ -27,7 +28,6 @@ double-counts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.experiment import ExperimentResult, ExperimentSpec
 from repro.core.plan import TestPlan
 from repro.core.recording import ExperimentRecord, RecordStore
-from repro.errors import AnalysisError, CampaignError, RecordSchemaError
+from repro.errors import AnalysisError, RecordSchemaError
 
 #: Fallback identity for records without a ``spec_id`` stamp.
 _Triple = Tuple[str, int, str]
@@ -44,34 +44,20 @@ _Triple = Tuple[str, int, str]
 class Checkpoint:
     """Crash-safe record of completed specs, enabling resume.
 
-    Commits are buffered in memory and persisted by :meth:`flush`, which
-    writes the *whole* record set to a temp file, fsyncs, and renames it over
-    the checkpoint — so the on-disk file is always a complete, valid
-    JSON-Lines document and a SIGKILL at any instant loses at most the
-    commits since the last flush (none at all with the default
-    ``flush_interval_s=0``, which flushes on every commit like the paper's
-    minute-long tests want). ``flush_interval_s > 0`` batches flushes for
-    campaigns of very short experiments, where an atomic rewrite per
-    completion would dominate.
+    Each commit appends its record's line and fsyncs it before returning,
+    so a SIGKILL at any instant loses no committed record: at worst it tears
+    the line being appended, and :meth:`load` drops that line. Only changes
+    to content before the end — the torn-tail repair, :meth:`clear`,
+    :meth:`prune_stale` and :meth:`replace_records` — rewrite the whole file,
+    atomically (temp file + fsync + rename).
     """
 
-    def __init__(self, path: "str | Path", *,
-                 flush_interval_s: float = 0.0) -> None:
-        if flush_interval_s < 0:
-            raise CampaignError(
-                f"flush interval must be >= 0, got {flush_interval_s}")
+    def __init__(self, path: "str | Path") -> None:
         self.store = RecordStore(path)
-        self.flush_interval_s = flush_interval_s
-        #: How many atomic flushes hit the disk (telemetry reads this).
+        #: How many record writes hit the disk: one per commit and per
+        #: :meth:`replace_records` (the perfbench tracer reads this).
         self.flushes = 0
-        self._dirty = False
-        # The interval clock starts now, so a batched checkpoint's first
-        # flush happens one full interval in, not on the first commit.
-        self._last_flush = time.monotonic()
         self._records: List[ExperimentRecord] = []
-        #: ``_records[i].to_json()``, serialized once when the record was
-        #: committed or loaded: every flush rewrites the whole file.
-        self._lines: List[str] = []
         self._records_by_id: Dict[str, ExperimentRecord] = {}
         self._records_by_triple: Dict[_Triple, ExperimentRecord] = {}
 
@@ -87,9 +73,10 @@ class Checkpoint:
         A campaign killed mid-append leaves a torn final line; that is the
         exact crash resume exists for, so the torn tail is discarded (its
         spec simply re-runs) and the file is rewritten without it so later
-        appends do not merge into the partial line. Malformed records
-        *before* the last line mean real corruption and still raise,
-        naming the file and line.
+        appends do not merge into the partial line. A complete last record
+        that only lacks its newline is kept; the next append writes the
+        newline first. Malformed records *before* the last line mean real
+        corruption and still raise, naming the file and line.
         """
         if not self.store.path.exists():
             return 0
@@ -111,17 +98,14 @@ class Checkpoint:
             if len(records) != self.store.count() - 1:
                 raise
             torn_tail = True
-        lines = [record.to_json() for record in records]
         if torn_tail:
-            self.store.replace_all(lines)
-        for record, line in zip(records, lines):
-            self._remember(record, line)
+            self.store.replace_all(records)
+        for record in records:
+            self._remember(record)
         return len(records)
 
-    def _remember(self, record: ExperimentRecord,
-                  line: Optional[str] = None) -> None:
+    def _remember(self, record: ExperimentRecord) -> None:
         self._records.append(record)
-        self._lines.append(record.to_json() if line is None else line)
         spec_id = record.spec_id
         if spec_id is not None:
             self._records_by_id[spec_id] = record
@@ -132,10 +116,8 @@ class Checkpoint:
         """Truncate the checkpoint file (fresh, non-resumed run)."""
         self.store.replace_all([])
         self._records.clear()
-        self._lines.clear()
         self._records_by_id.clear()
         self._records_by_triple.clear()
-        self._dirty = False
 
     def prune_stale(self, plan: TestPlan) -> int:
         """Reconcile the checkpoint with the plan it is resuming.
@@ -157,16 +139,14 @@ class Checkpoint:
             if record is not None:
                 resumable[(record.spec_name, record.seed,
                            record.scenario)] = record
-        keep = [
-            index for index, record in enumerate(self._records)
+        kept = [
+            record for record in self._records
             if resumable.get((record.spec_name, record.seed,
                               record.scenario)) is record
         ]
-        removed = len(self._records) - len(keep)
+        removed = len(self._records) - len(kept)
         if removed:
-            kept = [self._records[index] for index in keep]
             self._records = kept
-            self._lines = [self._lines[index] for index in keep]
             self._records_by_id = {
                 record.spec_id: record for record in kept
                 if record.spec_id is not None
@@ -175,7 +155,7 @@ class Checkpoint:
                 (record.spec_name, record.seed, record.scenario): record
                 for record in kept
             }
-            self.store.replace_all(self._lines)
+            self.store.replace_all(kept)
         return removed
 
     # -- queries ------------------------------------------------------------------------
@@ -245,38 +225,25 @@ class Checkpoint:
 
         Called from the parent process only (workers hand results back over
         the pool), so commits never interleave. The record is stamped with
-        the spec identity so a later resume matches on the strong key. The
-        commit is buffered and flushed per :attr:`flush_interval_s` — with
-        the default of ``0`` every commit reaches the disk atomically before
-        this returns.
+        the spec identity so a later resume matches on the strong key, and
+        it is on disk when this returns (see :meth:`commit_record`).
         """
         record = ExperimentRecord.from_result(result)
-        record = replace(
-            record, extras={**record.extras, "spec_id": spec.identity()}
-        )
-        self._remember(record)
-        self._dirty = True
-        if (self.flush_interval_s <= 0
-                or time.monotonic() - self._last_flush
-                >= self.flush_interval_s):
-            self.flush()
-        return record
+        return self.commit_record(replace(
+            record, extras={**record.extras, "spec_id": spec.identity()}))
 
     def commit_record(self, record: ExperimentRecord) -> ExperimentRecord:
-        """Buffer one already-built record (the fleet result-merge path).
+        """Append one already-built record and fsync it.
 
-        The coordinator receives records over the wire with their
-        ``spec_id`` stamps already applied by the worker that executed them;
-        this commits one as-is, with the same interval-batched atomic flush
-        contract as :meth:`commit`. The caller is responsible for dedup —
-        committing two records with the same identity stores both.
+        The fleet result-merge path calls this directly: the coordinator
+        receives records over the wire with their ``spec_id`` stamps already
+        applied by the worker that executed them. The caller is responsible
+        for dedup — committing two records with the same identity stores
+        both.
         """
+        self.store.append(record)
+        self.flushes += 1
         self._remember(record)
-        self._dirty = True
-        if (self.flush_interval_s <= 0
-                or time.monotonic() - self._last_flush
-                >= self.flush_interval_s):
-            self.flush()
         return record
 
     def replace_records(self, records: List[ExperimentRecord]) -> None:
@@ -284,11 +251,10 @@ class Checkpoint:
 
         Used by the coordinator to finalize a campaign's merged store in
         plan order: the in-memory indexes are rebuilt and the file is
-        rewritten through the same :meth:`~repro.core.recording.RecordStore.
-        replace_all` temp-file + fsync + rename path every other flush uses.
+        rewritten through :meth:`~repro.core.recording.RecordStore.
+        replace_all` (temp file + fsync + rename).
         """
         self._records = list(records)
-        self._lines = [record.to_json() for record in self._records]
         self._records_by_id = {
             record.spec_id: record for record in self._records
             if record.spec_id is not None
@@ -297,30 +263,5 @@ class Checkpoint:
             (record.spec_name, record.seed, record.scenario): record
             for record in self._records
         }
-        self._last_flush = time.monotonic()
-        self.store.replace_all(self._lines)
-        self._dirty = False
+        self.store.replace_all(self._records)
         self.flushes += 1
-
-    @property
-    def dirty(self) -> bool:
-        """Whether commits are buffered that have not reached the disk."""
-        return self._dirty
-
-    def flush(self) -> bool:
-        """Atomically persist all buffered commits; ``True`` if it wrote.
-
-        The whole record set is rewritten through
-        :meth:`~repro.core.recording.RecordStore.replace_all` (temp file +
-        fsync + rename), so a crash — even SIGKILL — at any instant leaves
-        either the previous complete checkpoint or the new one on disk. The
-        lines cached at commit time are written, so a flush serializes
-        nothing.
-        """
-        self._last_flush = time.monotonic()
-        if not self._dirty:
-            return False
-        self.store.replace_all(self._lines)
-        self._dirty = False
-        self.flushes += 1
-        return True

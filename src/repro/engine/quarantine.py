@@ -23,6 +23,8 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
+from repro.core.recording import append_line
+
 QUARANTINE_SCHEMA = "repro-quarantine/v1"
 
 #: Suffix appended to a checkpoint path to derive the default location.
@@ -54,10 +56,7 @@ class QuarantineLog:
             "error": error,
             "ts": time.time(),  # repro: allow[determinism] -- operator-facing sidecar timestamp; never feeds records or identities
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
+        append_line(self.path, json.dumps(entry, sort_keys=True))
         return entry
 
     def entries(self) -> List[Dict[str, object]]:

@@ -11,10 +11,10 @@ back idempotently, deduplicated by spec identity.
 Durability is structural, not best-effort:
 
 * **Results** journal through the engine's :class:`~repro.engine.checkpoint.
-  Checkpoint` — every merge lands via the atomic ``RecordStore.replace_all``
-  temp-file + fsync + rename path, so a SIGKILLed coordinator leaves a
-  complete, loadable record store per campaign.
-* **Campaigns** journal to ``state.json`` (same atomic write pattern) as
+  Checkpoint` — every merge is appended and fsynced before it is
+  acknowledged, so a SIGKILLed coordinator leaves a loadable record store
+  per campaign (at worst with a torn last line, which resume drops).
+* **Campaigns** journal to ``state.json`` (temp file + fsync + rename) as
   their declarative config dicts — the wire format doubles as the journal
   format.
 * **Leases are deliberately ephemeral.** On ``repro serve --resume`` the
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is optional)
     from repro.obs.telemetry import Telemetry
 
 from repro.core.config import CampaignConfig
-from repro.core.recording import ExperimentRecord
+from repro.core.recording import ExperimentRecord, append_line
 from repro.engine.checkpoint import Checkpoint
 from repro.engine.scheduler import plan_shards
 from repro.errors import AnalysisError, FleetError, FleetProtocolError
@@ -476,9 +476,8 @@ class FleetCoordinator:
             "reason": "repeated lease losses on the same shard",
             "ts": time.time(),
         }
-        self.host_quarantine_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.host_quarantine_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        append_line(self.host_quarantine_path,
+                    json.dumps(entry, sort_keys=True))
 
     # -- status -------------------------------------------------------------------------
 
@@ -486,12 +485,6 @@ class FleetCoordinator:
         with self._lock:
             return bool(self.campaigns) and all(
                 entry.done for entry in self.campaigns.values())
-
-    def flush(self) -> None:
-        """Flush every campaign checkpoint (shutdown path)."""
-        with self._lock:
-            for entry in self.campaigns.values():
-                entry.checkpoint.flush()
 
     def status(self) -> dict:
         with self._lock:
@@ -707,7 +700,6 @@ class FleetServer:
             self._thread.join(timeout=5.0)
         if self._sweeper is not None:
             self._sweeper.join(timeout=5.0)
-        self.coordinator.flush()
         self._server = None
         self._thread = None
         self._sweeper = None

@@ -495,19 +495,17 @@ class TestSupervisionFlags:
     def test_engine_flags_parse(self):
         args = build_parser().parse_args([
             "fig3", "--tests", "2", "--timeout", "5.5", "--retries", "2",
-            "--max-worker-restarts", "3", "--flush-interval", "1.5",
+            "--max-worker-restarts", "3",
         ])
         assert args.timeout == 5.5
         assert args.retries == 2
         assert args.max_worker_restarts == 3
-        assert args.flush_interval == 1.5
 
     def test_supervision_flags_default_to_unset(self):
         args = build_parser().parse_args(["fig3", "--tests", "2"])
         assert args.timeout is None
         assert args.retries is None
         assert args.max_worker_restarts is None
-        assert args.flush_interval == 0.0
 
     @pytest.mark.parametrize("line", [
         'tests = "abc"', "base_seed = [1]", 'duration = "long"',

@@ -20,6 +20,14 @@ def sequential(plan):
     return Campaign(plan).run()
 
 
+@pytest.fixture(scope="module")
+def uninterrupted(plan, tmp_path_factory):
+    """The bytes of the plan's checkpoint after one uninterrupted run."""
+    path = tmp_path_factory.mktemp("uninterrupted") / "run.jsonl"
+    CampaignEngine(plan, checkpoint_path=str(path)).run()
+    return path.read_bytes()
+
+
 def interrupted_run(plan, path, upto):
     """Simulate a campaign killed after ``upto`` experiments: run a truncated
     plan (same names/seeds) with checkpointing, leaving a partial record file."""
@@ -124,23 +132,30 @@ class TestCheckpointUnit:
         assert checkpoint.load() == 2
         assert len(checkpoint) == 2
 
-    def test_torn_trailing_line_is_discarded_and_resumed(self, plan,
-                                                         sequential, tmp_path):
-        # A SIGKILL mid-append leaves a partial JSON line at the end of the
-        # checkpoint; resume must drop it and re-run that spec, not crash.
+    @pytest.mark.parametrize("cut, reruns_from", [
+        (1, 3),      # the last record is whole but lacks its newline
+        (200, 2),    # half of the last record: a torn line
+    ], ids=["missing-newline", "torn-line"])
+    def test_killed_append_resumes_to_the_uninterrupted_file(
+            self, plan, sequential, uninterrupted, tmp_path, cut,
+            reruns_from):
+        # A SIGKILL mid-append leaves the last line without its newline or
+        # cut short. Resume keeps a whole record and drops a torn one, re-runs
+        # only what is missing, and never merges a new line into the old.
         path = tmp_path / "run.jsonl"
         interrupted_run(plan, path, upto=3)
-        content = path.read_text(encoding="utf-8")
-        path.write_text(content[:-40], encoding="utf-8")
+        path.write_bytes(path.read_bytes()[:-cut])
 
         resumed = CampaignEngine(
             plan, checkpoint_path=str(path), resume=True,
         ).run()
-        assert len(resumed.results) == len(plan)
+        executed_seeds = [result.seed for result in resumed.results
+                          if result.worker_id is not None]
+        assert executed_seeds == [spec.seed
+                                  for spec in list(plan.specs)[reruns_from:]]
         assert [r.outcome for r in resumed.results] == \
             [r.outcome for r in sequential.results]
-        # The rewritten checkpoint is whole again: every line parses.
-        assert len(RecordStore(path).load()) == len(plan)
+        assert path.read_bytes() == uninterrupted
 
     def test_malformed_line_in_the_middle_still_raises(self, plan, tmp_path):
         from repro.errors import AnalysisError
@@ -358,59 +373,46 @@ class TestResumeCli:
         assert path.read_bytes() == corrupt
 
 
-class TestAtomicFlush:
+class TestAppendOnlyCommits:
     def _spec_and_result(self, plan, sequential, index=0):
         return plan.specs[index], sequential.results[index]
 
-    def test_commit_flushes_immediately_by_default(self, plan, sequential,
-                                                   tmp_path):
+    def test_commit_flushes_immediately(self, plan, sequential, tmp_path):
         checkpoint = Checkpoint(tmp_path / "run.jsonl")
         spec, result = self._spec_and_result(plan, sequential)
         checkpoint.commit(spec, result)
         assert checkpoint.flushes == 1
-        assert not checkpoint.dirty
         assert len(RecordStore(checkpoint.path).load()) == 1
 
-    def test_flush_interval_batches_commits(self, plan, sequential, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "run.jsonl",
-                                flush_interval_s=3600.0)
-        for index in range(3):
-            spec, result = self._spec_and_result(plan, sequential, index)
-            checkpoint.commit(spec, result)
-        # Nothing hit the disk yet; the records are buffered and dirty.
-        assert checkpoint.dirty
-        assert checkpoint.flushes == 0
-        assert not checkpoint.path.exists()
-        assert checkpoint.flush() is True
-        assert checkpoint.flushes == 1
-        assert not checkpoint.dirty
-        assert len(RecordStore(checkpoint.path).load()) == 3
-
-    def test_flush_is_idempotent_when_clean(self, plan, sequential, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "run.jsonl")
-        spec, result = self._spec_and_result(plan, sequential)
-        checkpoint.commit(spec, result)
-        assert checkpoint.flush() is False       # nothing new to write
-        assert checkpoint.flushes == 1
-
-    def test_flush_replaces_the_file_atomically(self, plan, sequential,
-                                                tmp_path):
+    def test_commits_append_and_never_rewrite(self, plan, tmp_path,
+                                              monkeypatch):
+        # A commit adds one line at the end of the file; only clear(),
+        # prune_stale(), replace_records() and the torn-tail repair rewrite
+        # it. A fresh run clears once, then appends the whole file.
         path = tmp_path / "run.jsonl"
-        checkpoint = Checkpoint(path, flush_interval_s=3600.0)
-        for index in range(2):
-            spec, result = self._spec_and_result(plan, sequential, index)
-            checkpoint.commit(spec, result)
-        checkpoint.flush()
-        # The write path goes tmp + fsync + rename: no temp file survives
-        # and the target is a complete, parseable record file.
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name != path.name]
-        assert leftovers == []
-        assert len(RecordStore(path).load()) == 2
+        rewrites, appended = [], []
+        replace_all, append = RecordStore.replace_all, RecordStore.append
+
+        def spy_replace_all(store, records):
+            records = list(records)
+            rewrites.append(len(records))
+            return replace_all(store, records)
+
+        def spy_append(store, record):
+            before = store.path.stat().st_size
+            append(store, record)
+            appended.append(store.path.stat().st_size - before)
+
+        monkeypatch.setattr(RecordStore, "replace_all", spy_replace_all)
+        monkeypatch.setattr(RecordStore, "append", spy_append)
+        CampaignEngine(plan, checkpoint_path=str(path)).run()
+        assert rewrites == [0]
+        assert len(appended) == len(plan)
+        assert sum(appended) == path.stat().st_size
 
     def test_each_commit_serializes_one_record(self, plan, sequential,
                                                tmp_path, monkeypatch):
-        # Every flush rewrites the whole file, but from lines cached at
-        # commit time: N commits serialize N records, not N*(N+1)/2.
+        # Each commit appends its own line: N commits serialize N records.
         to_json = ExperimentRecord.to_json
         calls = []
         monkeypatch.setattr(ExperimentRecord, "to_json",
@@ -424,8 +426,8 @@ class TestAtomicFlush:
         assert checkpoint.path.read_text(encoding="utf-8") == "".join(
             to_json(record) + "\n" for record in committed)
 
-    def test_rewrites_keep_the_cached_lines_in_step(self, plan, sequential,
-                                                    tmp_path):
+    def test_rewrites_and_appends_stay_in_step(self, plan, sequential,
+                                               tmp_path):
         path = tmp_path / "run.jsonl"
         checkpoint = Checkpoint(path)
         committed = [checkpoint.commit(spec, result) for spec, result
@@ -450,17 +452,3 @@ class TestAtomicFlush:
         assert on_disk() == ""
         again = reloaded.commit(plan.specs[0], sequential.results[0])
         assert on_disk() == lines([again])
-
-    def test_negative_flush_interval_is_rejected(self, tmp_path):
-        from repro.errors import CampaignError
-        with pytest.raises(CampaignError):
-            Checkpoint(tmp_path / "run.jsonl", flush_interval_s=-1.0)
-
-    def test_engine_flushes_batched_checkpoint_on_exit(self, plan, tmp_path):
-        path = tmp_path / "run.jsonl"
-        engine = CampaignEngine(plan, checkpoint_path=str(path),
-                                flush_interval_s=3600.0)
-        engine.run()
-        # Every record was buffered during the run; the engine's final flush
-        # must land all of them even though the interval never elapsed.
-        assert len(RecordStore(path).load()) == len(plan)

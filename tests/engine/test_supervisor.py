@@ -319,6 +319,18 @@ class TestEngineQuarantineFlow:
             handle.write('{"torn": ')
         assert [entry["spec"] for entry in log.entries()] == ["a"]
 
+    def test_quarantine_log_entry_without_its_newline_is_kept(self, tmp_path):
+        # A writer killed between an entry and its newline: the next append
+        # must not merge into it.
+        path = tmp_path / "q.jsonl"
+        log = QuarantineLog(path)
+        log.append(spec="a", spec_id="id-a", seed=1, scenario="s",
+                   attempts=1, reason="crash", error="x")
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        log.append(spec="b", spec_id="id-b", seed=2, scenario="s",
+                   attempts=1, reason="crash", error="y")
+        assert [entry["spec"] for entry in log.entries()] == ["a", "b"]
+
     @pytest.mark.parametrize("line", [
         b"\xff\xfe x", b"[" * 100_000, b"1" * 5000,
         b'{"spec": "b", "spec_id": []}',
