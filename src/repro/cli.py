@@ -787,7 +787,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 time.sleep(args.linger)
                 break
     except KeyboardInterrupt:
-        print("interrupted; flushing state", file=sys.stderr)
+        print("interrupted; shutting down", file=sys.stderr)
     finally:
         if watch_server is not None:
             watch_server.stop()

@@ -302,6 +302,10 @@ class FleetCoordinator:
                 # a protocol state, not an exception path.
                 return envelope(lease=None, state="rejoin")
             lease, stolen_from, state = self.table.grant(host_id, now)
+            if lease is None and self._all_done_locked():
+                # A campaign resumed with every record merged leaves no
+                # shards, and the lease table calls an empty table idle.
+                state = "done"
         if lease is None:
             return envelope(lease=None, state=state)
         entry = self.campaigns[lease.campaign_id]
@@ -483,8 +487,11 @@ class FleetCoordinator:
 
     def all_done(self) -> bool:
         with self._lock:
-            return bool(self.campaigns) and all(
-                entry.done for entry in self.campaigns.values())
+            return self._all_done_locked()
+
+    def _all_done_locked(self) -> bool:
+        return bool(self.campaigns) and all(
+            entry.done for entry in self.campaigns.values())
 
     def status(self) -> dict:
         with self._lock:
@@ -506,9 +513,7 @@ class FleetCoordinator:
                     "records": str(entry.checkpoint.path),
                 })
             payload = envelope(
-                state="done" if (self.campaigns
-                                 and all(entry.done for entry
-                                         in self.campaigns.values()))
+                state="done" if self._all_done_locked()
                 else ("idle" if not self.campaigns else "running"),
                 lease_ttl_s=self.lease_ttl_s,
                 heartbeat_interval_s=self.heartbeat_interval_s,

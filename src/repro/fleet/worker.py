@@ -16,7 +16,8 @@ single-host run; it never takes the worker down.
 Failure behavior, by design:
 
 * **Coordinator unreachable** (restart, network blip): operations back off
-  and retry for ``offline_grace_s``; only a grace-window overrun is fatal.
+  (never longer than ``poll_s``) and retry for ``offline_grace_s``; only a
+  grace-window overrun is fatal.
   A coordinator that comes back with empty state answers ``rejoin`` and the
   agent simply registers again — in-flight shard results are still
   submitted (the coordinator accepts records regardless of registration;
@@ -57,7 +58,7 @@ from repro.errors import (
 from repro.fleet.protocol import FleetClient
 
 #: Initial retry delay when the coordinator is unreachable; doubles per
-#: attempt up to the cap.
+#: attempt up to the cap (or the agent's poll interval, if that is shorter).
 _RETRY_BASE_S = 0.5
 _RETRY_CAP_S = 5.0
 
@@ -130,7 +131,12 @@ class FleetWorkerAgent:
         mismatch, rejected submission) means retrying would not help.
         """
         deadline = time.monotonic() + self.offline_grace_s
-        delay = _RETRY_BASE_S
+        # Never wait longer than an idle agent waits between polls: a
+        # restarted coordinator that finds its campaigns done serves only
+        # for its linger window, and a longer back-off sleeps through it,
+        # leaving the agent to retry a coordinator that is gone for good.
+        cap = min(_RETRY_CAP_S, self.poll_s)
+        delay = min(_RETRY_BASE_S, cap)
         while True:
             try:
                 return call()
@@ -141,7 +147,7 @@ class FleetWorkerAgent:
                         f"{self.offline_grace_s:g} s ({exc})") from None
                 self._say(f"{what}: {exc}; retrying in {delay:g} s")
                 time.sleep(delay)
-                delay = min(_RETRY_CAP_S, delay * 2)
+                delay = min(cap, delay * 2)
 
     # -- lifecycle ----------------------------------------------------------------------
 

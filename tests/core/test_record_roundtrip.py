@@ -7,6 +7,8 @@ not exist yet.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -149,6 +151,46 @@ class TestSaveCreatesDirectories:
         store = RecordStore(tmp_path / "missing" / "append.jsonl")
         store.append(records[0])
         assert store.load() == [records[0]]
+
+
+class TestDurableAppend:
+    @pytest.mark.parametrize("before, lines_before", [
+        ("", 0),
+        ("{first}\n", 1),
+        ("{first}", 1),      # a writer killed before the line's newline
+    ], ids=["empty", "whole-line", "missing-newline"])
+    def test_append_adds_exactly_one_line(self, records, tmp_path, before,
+                                          lines_before):
+        path = tmp_path / "append.jsonl"
+        path.write_text(before.format(first=records[0].to_json()),
+                        encoding="utf-8")
+        store = RecordStore(path)
+        store.append(records[1])
+        expected = [records[0]] * lines_before + [records[1]]
+        assert store.load() == expected
+        assert path.read_text(encoding="utf-8") == "".join(
+            record.to_json() + "\n" for record in expected)
+
+    def test_append_fsyncs_the_line_and_a_new_file_s_directory(
+            self, records, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def spy(fd):
+            info = os.fstat(fd)
+            synced.append("dir" if stat.S_ISDIR(info.st_mode)
+                          else info.st_size)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        store = RecordStore(tmp_path / "new" / "append.jsonl")
+        store.append(records[0])
+        store.append(records[1])
+        first, second = (len(record.to_json().encode("utf-8")) + 1
+                         for record in records[:2])
+        # The file holds each whole line when it is fsynced; only the
+        # append that created the file fsyncs the directory.
+        assert synced == [first, "dir", first + second]
 
 
 class TestSpecIdentityAndPlanValidation:

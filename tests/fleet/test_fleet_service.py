@@ -11,7 +11,9 @@ record, never a dead worker.
 """
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -225,6 +227,32 @@ class TestRejoin:
         assert beat["rejoin"] is True and beat["revoked"] == ["l000001"]
 
 
+class TestHostQuarantineLog:
+    def test_entry_without_its_newline_is_kept(self, tmp_path):
+        # A coordinator killed between an entry and its newline: the next
+        # quarantined host must land on its own line, not merge into it.
+        now = [0.0]
+        coordinator = FleetCoordinator(
+            tmp_path / "state", shard_size=2, lease_ttl_s=1.0,
+            host_failure_limit=1, clock=lambda: now[0])
+        coordinator.submit(config())
+
+        def lose_a_lease(host):
+            host_id = coordinator.handle_join(
+                {"host": host, "pid": 1})["host_id"]
+            assert coordinator.handle_lease({"host_id": host_id})["lease"]
+            now[0] += 10.0
+            coordinator.sweep()
+
+        path = coordinator.host_quarantine_path
+        lose_a_lease("flaky-a")
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        lose_a_lease("flaky-b")
+        entries = [json.loads(line) for line in
+                   path.read_text(encoding="utf-8").splitlines()]
+        assert [entry["host"] for entry in entries] == ["flaky-a", "flaky-b"]
+
+
 class TestResume:
     def test_resume_without_state_is_a_hard_error(self, tmp_path):
         coordinator = FleetCoordinator(tmp_path / "state")
@@ -256,3 +284,41 @@ class TestResume:
         assert second.all_done()
         merged_path = state_dir / f"{campaign_id}.records.jsonl"
         assert merged_path.read_bytes() == serial_checkpoint.read_bytes()
+
+    def test_retrying_worker_reaches_a_restart_that_finds_the_fleet_done(
+            self, tmp_path, serial_checkpoint):
+        # A coordinator killed after the last merge comes back with every
+        # campaign done and serves only while it lingers. An agent still
+        # retrying the outage must reach it in that window and stop cleanly,
+        # not sleep through it and then retry a coordinator that is gone.
+        state_dir = tmp_path / "state"
+        campaign_id = FleetCoordinator(state_dir).submit(config())
+        (state_dir / f"{campaign_id}.records.jsonl").write_bytes(
+            serial_checkpoint.read_bytes())
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        agent = FleetWorkerAgent(f"http://127.0.0.1:{port}", host="late",
+                                 poll_s=0.05, offline_grace_s=30.0)
+        outcome = {}
+
+        def run():
+            try:
+                outcome["stats"] = agent.run()
+            except FleetError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        # Retries doubling from 0.5 s try at about 0, 0.5, 1.5 and 3.5 s:
+        # the restarted coordinator below serves between two of them.
+        time.sleep(1.7)
+        restarted = FleetCoordinator(state_dir)
+        assert restarted.resume() == 1
+        assert restarted.all_done()
+        with FleetServer(restarted, port=port):
+            thread.join(timeout=1.5)
+        agent.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert "stats" in outcome, outcome
