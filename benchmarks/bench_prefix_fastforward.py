@@ -17,8 +17,7 @@ root so the perf trajectory is versioned alongside the code):
   per-spec cold reference (a fresh SUT and a full prefix per spec), both at
   ``jobs=1`` so the speedup is not parallelism, plus the engine's
   hit/miss counts and the parity verdict (records must be bit-identical —
-  the run aborts if they are not). The engine also steps each family in
-  lockstep, so the speedup is prefix forking and lockstep together;
+  the run aborts if they are not);
 * **snapshot** — microbenchmark of :class:`~repro.hw.memory.PhysicalMemory`
   delta snapshots: pages copied vs. reused across a snapshot/restore cycle
   of a booted deployment.

@@ -1,12 +1,12 @@
 """Static contract checker for the repro codebase (``repro-fi check``).
 
-Every multiplier this repo ships — the family executor's pooled SUTs, prefix
-forks and lockstep batches, the multi-host fleet — rests on invariants that
-are invisible to the type system: records must be byte-identical across
-execution strategies, ``snapshot_state`` must deep-copy every mutable field,
-telemetry must cost nothing when disabled, threaded state must stay under
-its lock, wire-format version strings must mean exactly one thing, and
-declarative configs must resolve against the plugin registries. This package
+Every multiplier this repo ships — the family executor's pooled SUTs and
+prefix forks, the multi-host fleet — rests on invariants that are invisible
+to the type system: records must be byte-identical across execution
+strategies, ``snapshot_state`` must deep-copy every mutable field, telemetry
+must cost nothing when disabled, threaded state must stay under its lock,
+wire-format version strings must mean exactly one thing, and declarative
+configs must resolve against the plugin registries. This package
 machine-checks those contracts with nothing but :mod:`ast` — no third-party
 linters, no imports of the simulator — so the gate runs anywhere the source
 tree does.

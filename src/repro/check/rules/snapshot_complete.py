@@ -1,7 +1,7 @@
 """Rule ``snapshot-complete``: ``snapshot_state`` covers what mutates.
 
-The family executor's pooled SUTs, prefix forks and lockstep batches all
-fork simulations from snapshots; a mutable field that is missing from — or
+The family executor's pooled SUTs and prefix forks both restore
+simulations from snapshots; a mutable field that is missing from — or
 *aliased into* — a snapshot corrupts every fork sharing it (the mutable
 ``ParkRecord`` bug). For every class implementing ``snapshot_state`` this
 rule cross-checks the attributes assigned in ``__init__`` against the

@@ -65,9 +65,8 @@ a killed campaign picks up where it left off. ``--sut`` selects the system
 under test by registry name (``jailhouse``, ``bao-like``, ``no-isolation``,
 or any plugin-registered variant); spec identities do not depend on the SUT,
 so the same checkpoint drives campaigns against every variant. The engine
-decides by itself how to run each prefix family (pooled SUTs, prefix forks,
-lockstep batches) without changing any record — see the README's
-Performance guide.
+decides by itself how to run each prefix family (pooled SUTs, prefix forks)
+without changing any record — see the README's Performance guide.
 
 Every campaign runs supervised under one
 :class:`~repro.core.policy.RunPolicy`, the same one the library and the
@@ -297,13 +296,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
         print(f"prefix cache: {stats['hits']} hits / {stats['misses']} "
               f"misses ({stats['hits'] / executed:.0%} of family "
               f"members forked from a snapshot)", file=sys.stderr)
-    batch_stats = result.batch_stats()
-    if batch_stats["batched"]:
-        lockstep = batch_stats["batched"] - batch_stats["evicted"]
-        print(f"batching: {batch_stats['batched']} experiments in lockstep "
-              f"batches ({lockstep} stayed in lockstep, "
-              f"{batch_stats['evicted']} evicted to scalar replay, "
-              f"{batch_stats['scalar']} ran scalar)", file=sys.stderr)
     if engine.reoffered:
         print(f"re-offered {engine.reoffered} previously quarantined "
               f"spec(s) from {engine.quarantine.path}", file=sys.stderr)
@@ -1193,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shard-size", type=int, default=8, metavar="N",
                        help="max specs per lease shard (default 8); whole "
                             "prefix families stay together so each worker "
-                            "forks and batches them")
+                            "runs each family's prefix once")
     serve.add_argument("--lease-ttl", type=float, default=15.0,
                        metavar="SECONDS",
                        help="lease expires if not renewed by a heartbeat "
@@ -1364,6 +1356,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # else).
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # A path the command cannot read or write, such as a directory
+        # where a record file is expected: one line, like any other error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests of main()

@@ -111,24 +111,6 @@ class CampaignResult:
             "uncached": len(self.results) - hits - misses,
         }
 
-    def batch_stats(self) -> Dict[str, int]:
-        """Batched-lockstep effectiveness of this campaign.
-
-        ``batched`` results executed inside a lockstep batch, ``evicted``
-        of those fired their injector mid-batch and were replayed scalar
-        from the last sync boundary, ``scalar`` ran outside any batch
-        (ineligible specs, singleton families, fallbacks). Like
-        :meth:`prefix_cache_stats` this is execution bookkeeping only.
-        """
-        batched = sum(1 for result in self.results
-                      if result.batch_id is not None)
-        evicted = sum(1 for result in self.results if result.batch_evicted)
-        return {
-            "batched": batched,
-            "evicted": evicted,
-            "scalar": len(self.results) - batched,
-        }
-
     def to_records(self) -> List[ExperimentRecord]:
         return [ExperimentRecord.from_result(result) for result in self.results]
 
@@ -208,13 +190,13 @@ class Campaign:
         across a process pool. ``checkpoint_path`` streams completed records
         to an append-only file; with ``resume=True`` specs whose records
         already exist there are restored instead of re-executed. However it
-        runs, every process reuses one system under test, runs each prefix
-        family's pre-injection prefix once and forks the other members from
-        its snapshot, and steps steady-state family members in lockstep —
-        with records identical to running each spec on a fresh system under
-        test (``cold_boot=True`` specs opt out). ``telemetry`` attaches a
-        :class:`~repro.obs.telemetry.Telemetry` bus for live observability
-        (structured events + the ``watch`` dashboard). Execution is always
+        runs, every process reuses one system under test and runs each
+        prefix family's pre-injection prefix once, forking the other members
+        from its snapshot — with records identical to running each spec on a
+        fresh system under test (``cold_boot=True`` specs opt out).
+        ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry` bus
+        for live observability (structured events + the ``watch``
+        dashboard). Execution is always
         supervised under ``policy`` (:class:`~repro.core.policy.RunPolicy`;
         by default one retry, then quarantine): a spec that raises, hangs
         past ``timeout_s`` or kills its worker ends as an ``infra_*`` result

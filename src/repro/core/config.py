@@ -289,9 +289,15 @@ class CampaignConfig:
             raise CampaignConfigError(
                 f"sampling must be 'grid' or 'random', got {self.sampling!r}"
             )
-        if self.sampling == "random" and not self.sample_size:
+        if self.sampling == "random" and (self.sample_size or 0) <= 0:
             raise CampaignConfigError(
                 "random sampling needs a positive 'sample_size'"
+            )
+        if self.sample_seed < 0:
+            # Seeds the sampling generator before any spec exists, so the
+            # plan's own seed check never sees it.
+            raise CampaignConfigError(
+                f"[campaign] sample_seed must be >= 0, got {self.sample_seed}"
             )
         if not self.scenarios:
             raise CampaignConfigError("config needs at least one scenario")

@@ -127,9 +127,9 @@ class ExperimentSpec:
     observe_time: float = 10.0
     seed: int = 0
     intensity: str = "custom"
-    #: Opt this spec out of SUT pooling, prefix forks and lockstep batches:
-    #: the engine builds a brand-new system under test for it and runs it
-    #: as a plain ``Experiment.run()``. Not part of the spec identity.
+    #: Opt this spec out of SUT pooling and prefix forks: the engine builds
+    #: a brand-new system under test for it and runs it as a plain
+    #: ``Experiment.run()``. Not part of the spec identity.
     cold_boot: bool = False
 
     def describe(self) -> str:
@@ -241,16 +241,6 @@ class ExperimentResult:
     #: parent's own pid for in-process runs); ``None`` for restored records.
     #: Telemetry uses it for per-worker utilization. Not persisted.
     worker_id: Optional[int] = None
-    #: Batched-lockstep bookkeeping (``None``/``False`` when the experiment
-    #: ran scalar): the id of the batch this lane belonged to, how many lanes
-    #: that batch stepped together, whether this lane was evicted to the
-    #: scalar path mid-batch (its injector fired), and at which shared step.
-    #: Like the prefix-cache fields, execution bookkeeping only — excluded
-    #: from records so batched campaigns persist byte-identical data.
-    batch_id: Optional[str] = None
-    batch_lanes: Optional[int] = None
-    batch_evicted: bool = False
-    batch_eviction_step: Optional[int] = None
 
     @property
     def failed(self) -> bool:
@@ -356,7 +346,13 @@ class Experiment:
         """
         started = wall_start if wall_start is not None else time.perf_counter()
         spec = self.spec
-        injector = self.build_injector()
+        injector = FaultInjector(
+            target=spec.target,
+            trigger=spec.trigger,
+            fault_model=spec.fault_model,
+            seed=spec.seed,
+        )
+        injector.reset()
         sut.install_injector(injector)
         if spec.scenario is Scenario.STEADY_STATE:
             evidence, extras = self._suffix_steady_state(sut, injector)
@@ -371,45 +367,6 @@ class Experiment:
         classified = self.classifier.classify(evidence)
         return self._build_result(classified, evidence, injector, extras,
                                   time.perf_counter() - started)
-
-    def build_injector(self) -> FaultInjector:
-        """Build (and reset) this spec's injector, exactly as a scalar run does.
-
-        Shared with the batched lockstep core
-        (:mod:`repro.engine.batch`), which builds one injector per lane from
-        the same constructor arguments — the RNG is seeded from the spec, so
-        a lane's trigger/fault draws are independent of how (or with whom)
-        its simulated state is advanced.
-        """
-        spec = self.spec
-        injector = FaultInjector(
-            target=spec.target,
-            trigger=spec.trigger,
-            fault_model=spec.fault_model,
-            seed=spec.seed,
-        )
-        injector.reset()
-        return injector
-
-    def finalize_steady_state(self, sut: SystemUnderTest,
-                              injector: FaultInjector,
-                              window_start: float, *,
-                              wall_start: float) -> ExperimentResult:
-        """Classify a finished steady-state injection window into a result.
-
-        The tail of :meth:`_suffix_steady_state` + :meth:`run_from_snapshot`
-        factored out so the batched lockstep core can finalize a lane from
-        the shared (or replayed) simulated state: evidence over the window,
-        a clean management record (the bring-up was fault-free), classify,
-        assemble. ``sut`` must be positioned at the end of the lane's
-        injection window and ``injector`` must be the lane's own (disarmed)
-        injector.
-        """
-        evidence = sut.evidence(window_start, sut.now)
-        evidence.management = ManagementEvidence()   # bring-up was fault-free
-        classified = self.classifier.classify(evidence)
-        return self._build_result(classified, evidence, injector, {},
-                                  time.perf_counter() - wall_start)
 
     # -- scenario suffixes ----------------------------------------------------------------
 

@@ -100,12 +100,8 @@ class FaultInjector:
         matching, the injection budget, and the trigger draw — everything up
         to (and including) ``should_fire``, with the exact operation and RNG
         order of the combined hook, but without touching the trap context.
-        The batched lockstep core feeds each lane's injector through this
-        method while all lanes still share one simulated state: as long as no
-        lane fires, observation is the only injector activity, so the shared
-        state remains bit-identical to every lane's would-be scalar run. A
-        ``True`` return is the moment the scalar run would diverge — the
-        caller must evict the lane (replay it scalar) instead of continuing.
+        A ``True`` return means :meth:`apply_fault` must follow for this
+        same handler call.
         """
         self.total_calls += 1
         if not self.armed:

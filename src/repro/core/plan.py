@@ -12,6 +12,7 @@ class campaigns, alternative targets).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -20,6 +21,25 @@ from repro.core.faultmodels import FaultModel, MultiRegisterBitFlip, SingleBitFl
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import EveryNCalls, Trigger
 from repro.errors import CampaignError, PlanError
+
+
+def _verdict_problem(spec: ExperimentSpec) -> Optional[str]:
+    """Why ``spec`` can never give a verdict, or ``None`` when it can.
+
+    A window that never runs still classifies (as ``silent_failure``), a
+    negative time skips its phase, and a negative seed fails inside the
+    experiment as ``infra_crash``; none of them says anything about the
+    system under test.
+    """
+    if not (math.isfinite(spec.duration) and spec.duration > 0):
+        return f"needs a finite duration > 0 s, got {spec.duration!r}"
+    if spec.seed < 0:
+        return f"needs a seed >= 0, got {spec.seed!r}"
+    for name in ("settle_time", "warmup_time", "observe_time"):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value >= 0):
+            return f"needs a finite {name} >= 0 s, got {value!r}"
+    return None
 
 
 class IntensityLevel(enum.Enum):
@@ -78,6 +98,12 @@ class TestPlan:
                 f"with seed and scenario they form the checkpoint/resume "
                 f"fallback key"
             )
+        for spec in self.specs:
+            problem = _verdict_problem(spec)
+            if problem is not None:
+                raise PlanError(
+                    f"test plan {self.name!r}: experiment {spec.name!r} "
+                    f"{problem}")
 
     def describe(self) -> str:
         lines = [f"Test plan {self.name!r}: {len(self.specs)} experiments"]

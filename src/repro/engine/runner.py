@@ -196,24 +196,8 @@ class CampaignEngine:
                                   self.classifier, policy=self.policy,
                                   on_event=on_event)
 
-        # Batches execute inside worker processes, which cannot reach the
-        # parent's telemetry bus; their lifecycle events are synthesized here
-        # from the batch fields each result carries home.
-        seen_batches: set = set()
         for index, result in stream:
             slots[index] = result
-            if telemetry and result.batch_id is not None:
-                if result.batch_id not in seen_batches:
-                    seen_batches.add(result.batch_id)
-                    telemetry.emit("batch_formed",
-                                   batch_id=result.batch_id,
-                                   lanes=result.batch_lanes)
-                if result.batch_evicted:
-                    telemetry.emit("lane_evicted",
-                                   batch_id=result.batch_id,
-                                   spec=result.spec_name,
-                                   index=index,
-                                   step=result.batch_eviction_step)
             # Quarantined specs are deliberately NOT committed: their
             # synthesized infra results fill the campaign, but a resume
             # must re-offer the spec, not restore a non-answer.
@@ -235,8 +219,6 @@ class CampaignEngine:
                     prefix_wall_s=result.prefix_wall_time,
                     worker=result.worker_id,
                     prefix_cache_hit=result.prefix_cache_hit,
-                    batch_id=result.batch_id,
-                    batch_evicted=result.batch_evicted,
                     injections=result.injections,
                     completed=snapshot.completed,
                     queue_depth=total - snapshot.completed,

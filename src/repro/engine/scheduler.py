@@ -129,32 +129,6 @@ def shard_families(families: Sequence[PrefixFamily],
             for index, task in enumerate(tasks)]
 
 
-def plan_family_batches(family: PrefixFamily, batch_size: int,
-                        is_batchable) -> Tuple[List[List[WorkItem]],
-                                               List[WorkItem]]:
-    """Split one prefix family into lockstep batch tasks + scalar leftovers.
-
-    ``is_batchable`` decides spec eligibility for the batched lockstep core
-    (:func:`repro.engine.batch.batchable_spec` in production). Eligible
-    members form consecutive batches of at most ``batch_size`` lanes; the
-    rest run scalar. A batch needs at least two lanes to be worth the
-    boundary bookkeeping, so a lone eligible member — including a trailing
-    one left over by the split — joins the scalar leftovers. Deterministic:
-    members keep their family order, so repeated runs form identical batches.
-    """
-    if batch_size <= 0:
-        raise CampaignError(f"batch size must be positive, got {batch_size}")
-    eligible = [item for item in family.items if is_batchable(item.spec)]
-    scalar = [item for item in family.items if not is_batchable(item.spec)]
-    if len(eligible) < 2:
-        return [], list(family.items)
-    batches = [list(eligible[start:start + batch_size])
-               for start in range(0, len(eligible), batch_size)]
-    if len(batches[-1]) == 1:
-        scalar.append(batches.pop()[0])
-    return batches, scalar
-
-
 @dataclass(frozen=True)
 class PlanShard:
     """One fleet lease unit: a deterministic slice of a plan.
@@ -185,9 +159,10 @@ def plan_shards(plan: TestPlan, *, shard_size: int,
     out, so a resume re-offers exactly the unfinished work. Shards are built
     from whole prefix families (:func:`group_by_prefix`) merged up to
     ``shard_size`` specs per shard, so a worker that owns a shard pays each
-    pre-injection prefix once and its family executor forks and batches
-    whole families. Fully determined by the plan and ``shard_size`` —
-    no randomness, no timing — so every host derives the same shards.
+    pre-injection prefix once and its family executor forks the other
+    members from its snapshot. Fully determined by the plan and
+    ``shard_size`` — no randomness, no timing — so every host derives the
+    same shards.
     """
     if shard_size <= 0:
         raise CampaignError(f"shard size must be positive, got {shard_size}")

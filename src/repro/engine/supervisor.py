@@ -15,9 +15,9 @@ This module replaces it with an explicitly supervised pool:
 * the parent multiplexes pipes *and* process sentinels through
   :func:`multiprocessing.connection.wait`, so both results and deaths wake it
   immediately;
-* each worker announces every experiment (or lockstep batch) before
-  running it (``start`` messages double as heartbeats), giving the parent
-  an exact in-flight item to time out, retry, or blame when the worker dies;
+* each worker announces every experiment before running it (``start``
+  messages double as heartbeats), giving the parent an exact in-flight item
+  to time out, retry, or blame when the worker dies;
 * dead workers are respawned (bounded by :attr:`RunPolicy.max_worker_restarts`
   for unexpected deaths; deliberate timeout kills are bounded per spec by
   :attr:`RunPolicy.retries` instead) and the untouched remainder of their
@@ -105,20 +105,17 @@ def _supervised_worker(conn, init_args: tuple, parent_pid: int) -> None:
 
     Each shard runs through the worker's own
     :class:`~repro.engine.workers.FamilyExecutor`. Messages to the parent:
-    ``("start", shard_id, index)`` before every scalar experiment and every
-    lockstep batch (heartbeat + timeout anchor; a batch is announced by its
-    first lane, which is then its crash/timeout victim while the other lanes
-    are requeued innocent), ``("done_item", shard_id, index, result)`` /
+    ``("start", shard_id, index)`` before every experiment (heartbeat +
+    timeout anchor), ``("done_item", shard_id, index, result)`` /
     ``("error_item", shard_id, index, error_text)`` per experiment, and
     ``("done_shard", shard_id)`` when the shard is exhausted, at which point
     the worker is idle and waits for the next ``("task", ...)`` or
-    ``("stop",)``. A failed batch resets the executor and re-runs its
-    members scalar, so retries and quarantine stay per experiment.
+    ``("stop",)``.
 
     A worker whose parent dies (SIGKILL) returns instead of waiting forever:
     under ``fork`` it and its siblings hold copies of the parent's pipe
     ends, so ``recv`` would never see EOF. It checks ``os.getppid()``
-    against ``parent_pid`` while idle and before every step.
+    against ``parent_pid`` while idle and before every experiment.
     """
     # Imported here, not at module top: workers.py imports this module.
     from repro.engine.workers import FamilyExecutor
@@ -135,25 +132,17 @@ def _supervised_worker(conn, init_args: tuple, parent_pid: int) -> None:
             if message[0] == "stop":
                 return
             _, shard_id, items = message
-            for family, step in executor.steps(items):
+            for family, item in executor.steps(items):
                 if os.getppid() != parent_pid:
                     return
-                if len(step) > 1:
-                    conn.send(("start", shard_id, step[0].index))
-                    results = executor.try_batch(family, step)
-                    if results is not None:
-                        for index, result in results:
-                            conn.send(("done_item", shard_id, index, result))
-                        continue
-                for item in step:
-                    conn.send(("start", shard_id, item.index))
-                    try:
-                        index, result = executor.run_item(family, item)
-                        conn.send(("done_item", shard_id, index, result))
-                    except Exception as exc:  # noqa: BLE001 - forwarded
-                        executor.reset()
-                        conn.send(("error_item", shard_id, item.index,
-                                   f"{type(exc).__name__}: {exc}"))
+                conn.send(("start", shard_id, item.index))
+                try:
+                    index, result = executor.run_item(family, item)
+                    conn.send(("done_item", shard_id, index, result))
+                except Exception as exc:  # noqa: BLE001 - forwarded
+                    executor.reset()
+                    conn.send(("error_item", shard_id, item.index,
+                               f"{type(exc).__name__}: {exc}"))
             conn.send(("done_shard", shard_id))
     except (BrokenPipeError, OSError):
         return                           # parent went away: just exit

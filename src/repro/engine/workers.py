@@ -36,7 +36,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 from repro.core.experiment import (
     Experiment,
@@ -47,17 +47,10 @@ from repro.core.experiment import (
 from repro.core.outcomes import Outcome, OutcomeClassifier
 from repro.core.policy import RunPolicy
 from repro.core.registry import resolve_sut_factory
-from repro.engine.batch import (
-    BATCH_SIZE,
-    BatchStepper,
-    batchable_spec,
-    supports_batching,
-)
 from repro.engine.scheduler import (
     PrefixFamily,
     WorkItem,
     group_by_prefix,
-    plan_family_batches,
     shard_families,
 )
 from repro.engine.supervisor import EventCallback, SupervisedPool, infra_result
@@ -135,17 +128,6 @@ def _can_fork(sut: object) -> bool:
             and getattr(sut, "fork_from_snapshot", None) is not None)
 
 
-#: Per-process batch counter: batch ids must be unique campaign-wide even
-#: when one family is sliced across workers (``shard_families`` bisection).
-_batch_sequence = 0
-
-
-def _next_batch_id(key: str) -> str:
-    global _batch_sequence
-    _batch_sequence += 1
-    return f"{key[:8]}@{os.getpid()}#{_batch_sequence}"
-
-
 class _SerialTimeout(Exception):
     """Raised by the SIGALRM watchdog inside an in-process experiment."""
 
@@ -183,21 +165,17 @@ class FamilyExecutor:
     The serial backend and every pool worker run their items through this
     one object. It keeps the process's pooled system under test
     (:class:`PooledSutFactory`) and, while a family runs, that family's
-    post-prefix snapshot, and it picks the cheapest exact way to run each
-    family:
+    post-prefix snapshot:
 
     * a singleton family runs as a plain :meth:`Experiment.run`, leaving
       ``prefix_cache_hit`` as ``None``;
     * a larger family runs its pre-injection prefix once and forks every
       other member from the snapshot (``prefix_cache_hit`` ``False`` for the
-      member that ran the prefix, ``True`` for the forks);
-    * two or more steady-state members step in lockstep on one shared
-      simulation (:class:`~repro.engine.batch.BatchStepper`), at most
-      :data:`~repro.engine.batch.BATCH_SIZE` lanes per batch.
+      member that ran the prefix, ``True`` for the forks).
 
-    ``cold_boot`` specs opt out of all three: they build their own SUT and
-    form singleton families. Supervision stays with the backends, which run
-    each step of :meth:`steps` under their own policy.
+    ``cold_boot`` specs opt out of both: they build their own SUT and form
+    singleton families. Supervision stays with the backends, which run each
+    item of :meth:`steps` under their own policy.
     """
 
     def __init__(self, sut_factory: "SutFactory | str",
@@ -211,19 +189,15 @@ class FamilyExecutor:
         self._shared: Optional[Tuple[object, object]] = None
 
     def steps(self, items: Sequence[WorkItem]
-              ) -> Iterator[Tuple[PrefixFamily, List[WorkItem]]]:
-        """The queue as ``(family, step)`` pairs, one family at a time.
+              ) -> Iterator[Tuple[PrefixFamily, WorkItem]]:
+        """The queue as ``(family, item)`` pairs, one family at a time.
 
-        A step of two or more items is one lockstep batch
-        (:meth:`try_batch`), a step of one item runs scalar
-        (:meth:`run_item`). A family's snapshot is dropped as soon as its
-        last step has been taken.
+        Each pair runs through :meth:`run_item`. A family's snapshot is
+        dropped as soon as its last member has been taken.
         """
         for family in group_by_prefix(items, sut_token=self.sut_token):
-            batches, scalar = plan_family_batches(family, BATCH_SIZE,
-                                                  batchable_spec)
-            for step in batches + [[item] for item in scalar]:
-                yield family, step
+            for item in family.items:
+                yield family, item
             self._shared = None
 
     def reset(self) -> None:
@@ -237,7 +211,7 @@ class FamilyExecutor:
                           classifier=self.classifier)
 
     def run_item(self, family: PrefixFamily, item: WorkItem) -> IndexedResult:
-        """Run one member of ``family`` scalar."""
+        """Run one member of ``family``."""
         experiment = self._experiment(item.spec)
         if len(family) < 2:
             result = experiment.run()
@@ -278,59 +252,6 @@ class FamilyExecutor:
         result.prefix_cache_hit = hit
         result.prefix_wall_time = prefix_elapsed
         return result
-
-    def try_batch(self, family: PrefixFamily, batch: Sequence[WorkItem],
-                  timeout_s: Optional[float] = None,
-                  ) -> Optional[List[IndexedResult]]:
-        """Step ``batch`` in lockstep; ``None`` means run its members scalar.
-
-        That happens when the SUT cannot fork or batch, and after any
-        failure of the batch — a violated lockstep invariant, the
-        ``timeout_s`` deadline, an error — once process state is reset. The
-        scalar re-run is where per-item supervision applies, and where a
-        real error surfaces again.
-        """
-        try:
-            with _serial_deadline(timeout_s):
-                return self._run_batch(family, batch)
-        except Exception:  # noqa: BLE001 - the scalar re-run surfaces it
-            self.reset()
-            return None
-
-    def _run_batch(self, family: PrefixFamily, batch: Sequence[WorkItem],
-                   ) -> Optional[List[IndexedResult]]:
-        experiments = [self._experiment(item.spec) for item in batch]
-        first = experiments[0]
-        started = time.perf_counter()
-        hit = self._shared is not None
-        if hit:
-            sut, snapshot = self._shared
-        else:
-            sut = self.sut_factory(first.spec.seed)
-        if not (_can_fork(sut) and supports_batching(sut)):
-            return None
-        try:
-            if not hit:
-                first.run_prefix(sut)
-                snapshot = sut.snapshot()
-                self._shared = (sut, snapshot)
-            prefix_elapsed = time.perf_counter() - started
-            fork_started = time.perf_counter()
-            sut.fork_from_snapshot(snapshot, seed=first.spec.seed)
-            fork_elapsed = time.perf_counter() - fork_started
-            results = BatchStepper(sut, experiments,
-                                   batch_id=_next_batch_id(family.key)).run()
-        finally:
-            sut.teardown()
-        worker_id = os.getpid()
-        for lane, result in enumerate(results):
-            # Mirror the scalar bookkeeping: the lane that executed the
-            # family's prefix reports a miss, every forked lane a hit.
-            miss = lane == 0 and not hit
-            result.prefix_cache_hit = not miss
-            result.prefix_wall_time = prefix_elapsed if miss else fork_elapsed
-            result.worker_id = worker_id
-        return [(item.index, result) for item, result in zip(batch, results)]
 
 
 def _emit(on_event: Optional[EventCallback], kind: str, **payload) -> None:
@@ -417,22 +338,11 @@ def execute_serial(items: Sequence[WorkItem],
 
     ``policy`` is the serial flavour of supervision: a ``SIGALRM`` deadline
     per experiment, retries with backoff, and quarantine with synthesized
-    infrastructure results. A lockstep batch does the work of all its lanes
-    in one pass, so its deadline is ``timeout_s`` per lane; a batch that
-    fails re-runs its members through that per-item supervision.
+    infrastructure results.
     """
     executor = FamilyExecutor(sut_factory, classifier)
-    for family, step in executor.steps(items):
-        if len(step) > 1:
-            timeout_s = (policy.timeout_s * len(step)
-                         if policy.timeout_s else None)
-            results = executor.try_batch(family, step, timeout_s)
-            if results is not None:
-                yield from results
-                continue
-        for item in step:
-            yield _run_item_with_policy(executor, family, item, policy,
-                                        on_event)
+    for family, item in executor.steps(items):
+        yield _run_item_with_policy(executor, family, item, policy, on_event)
 
 
 def execute_pool(items: Sequence[WorkItem],

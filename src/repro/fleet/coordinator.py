@@ -4,7 +4,7 @@ One long-running coordinator accepts :class:`~repro.core.config.
 CampaignConfig` submissions, shards each compiled plan into lease units
 keyed on :meth:`~repro.core.experiment.ExperimentSpec.identity`
 (:func:`~repro.engine.scheduler.plan_shards` — whole prefix families, so
-each worker's engine still forks and batches whole families), and leases the
+each worker's engine still forks whole families), and leases the
 shards to worker agents over the ``repro-fleet/v1`` protocol. Results merge
 back idempotently, deduplicated by spec identity.
 

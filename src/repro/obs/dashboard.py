@@ -188,18 +188,6 @@ _PAGE = """<!DOCTYPE html>
   </div>
 
   <div class="card">
-    <h2>Batching</h2>
-    <table>
-      <thead><tr><th>batches</th><th>lanes</th><th>evictions</th>
-        <th>occupancy</th></tr></thead>
-      <tbody><tr id="batching">
-        <td>0</td><td>0</td><td>0</td><td>–</td>
-      </tr></tbody>
-    </table>
-    <p class="bar-label" id="batch-note">batched lockstep core inactive</p>
-  </div>
-
-  <div class="card">
     <h2>Fleet</h2>
     <table>
       <thead><tr><th>hosts</th><th>lost</th><th>leases</th><th>expired</th>
@@ -330,17 +318,6 @@ function render(m) {
     ? "supervision intervened — see the event stream"
     : "no supervision events";
 
-  const batching = m.batching || {};
-  document.getElementById("batching").innerHTML =
-    `<td>${batching.batches || 0}</td><td>${batching.lanes || 0}</td>` +
-    `<td>${batching.lane_evictions || 0}</td>` +
-    `<td>${batching.batches ? fmt(batching.mean_occupancy) : "–"}</td>`;
-  document.getElementById("batch-note").textContent = batching.batches
-    ? `${pct(batching.lanes
-             ? 1 - (batching.lane_evictions || 0) / batching.lanes : 0)}`
-      + " of lanes completed in lockstep"
-    : "batched lockstep core inactive";
-
   const fleet = m.fleet || {};
   document.getElementById("fleet").innerHTML =
     ["hosts_joined", "hosts_lost", "leases_granted", "leases_expired",
@@ -445,18 +422,6 @@ def render_text_dashboard(metrics: dict) -> str:
             f"retries {fault_tolerance.get('retries', 0)}  "
             f"timeouts {fault_tolerance.get('timeouts', 0)}  "
             f"quarantined {fault_tolerance.get('quarantined', 0)}"
-        )
-    batching = metrics.get("batching") or {}
-    if batching.get("batches"):
-        lanes = batching.get("lanes", 0)
-        evictions = batching.get("lane_evictions", 0)
-        lockstep = 1 - evictions / lanes if lanes else 0.0
-        lines += ["", "batching:"]
-        lines.append(
-            f"  batches {batching['batches']}  lanes {lanes}  "
-            f"evictions {evictions}  "
-            f"occupancy {batching.get('mean_occupancy', 0.0):.1f}  "
-            f"lockstep {lockstep:.1%}"
         )
     fleet = metrics.get("fleet") or {}
     if fleet.get("active"):

@@ -68,12 +68,6 @@ class TelemetryHub:
             "timeouts": 0,
             "quarantined": 0,
         }
-        #: Batched-lockstep counters, fed by batch_formed / lane_evicted.
-        self._batching: Dict[str, int] = {
-            "batches": 0,
-            "lanes": 0,
-            "lane_evictions": 0,
-        }
         #: Fleet counters, fed by the coordinator's repro-fleet events.
         self._fleet: Dict[str, int] = {
             "hosts_joined": 0,
@@ -167,13 +161,6 @@ class TelemetryHub:
             if counter is not None:
                 self._fault_tolerance[counter] += 1
             self._on_fleet_event_locked(kind, payload.get("payload") or {})
-            if kind == "batch_formed":
-                self._batching["batches"] += 1
-                lanes = payload.get("payload", {}).get("lanes")
-                if isinstance(lanes, int) and not isinstance(lanes, bool):
-                    self._batching["lanes"] += lanes
-            elif kind == "lane_evicted":
-                self._batching["lane_evictions"] += 1
             self._events.append(payload)
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
@@ -238,7 +225,6 @@ class TelemetryHub:
             suffix_total = self._suffix_wall_total
             timed = self._timed_experiments
             fault_tolerance = dict(self._fault_tolerance)
-            batching = dict(self._batching)
             fleet = dict(self._fleet)
             fleet_campaigns = {campaign: dict(progress) for campaign, progress
                                in self._fleet_campaigns.items()}
@@ -267,13 +253,6 @@ class TelemetryHub:
                 "timed_experiments": timed,
             },
             "fault_tolerance": fault_tolerance,
-            "batching": {
-                **batching,
-                # Mean lanes per formed batch — the occupancy figure the
-                # watch dashboard displays (0.0 until a batch forms).
-                "mean_occupancy": (batching["lanes"] / batching["batches"]
-                                   if batching["batches"] else 0.0),
-            },
             "fleet": {
                 **fleet,
                 "active": bool(fleet["hosts_joined"] or fleet_campaigns),

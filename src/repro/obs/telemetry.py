@@ -55,11 +55,6 @@ ENGINE_EVENT_KINDS = frozenset({
     "checkpoint_flush",
     "campaign_end",
     "span",
-    # Batched lockstep core: one event per batch formed (with its lane
-    # count, for occupancy rollups) and one per lane evicted to scalar
-    # replay after its injector fired mid-batch.
-    "batch_formed",
-    "lane_evicted",
     # Supervision layer (fault-tolerant execution):
     "worker_crash",
     "worker_respawn",
@@ -90,8 +85,6 @@ REQUIRED_PAYLOAD_FIELDS: Dict[str, frozenset] = {
     "checkpoint_flush": frozenset({"path", "records"}),
     "campaign_end": frozenset({"plan", "completed", "elapsed_s"}),
     "span": frozenset({"name", "elapsed_s"}),
-    "batch_formed": frozenset({"batch_id", "lanes"}),
-    "lane_evicted": frozenset({"batch_id", "spec", "index"}),
     "worker_crash": frozenset({"worker"}),
     "worker_respawn": frozenset({"worker"}),
     "experiment_retry": frozenset({"spec", "index", "attempt", "reason"}),

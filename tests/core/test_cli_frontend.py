@@ -30,6 +30,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_repro(*argv) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "repro", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def config_text(name: str, **keys) -> str:
+    """A one-target medium-intensity config with extra ``[campaign]`` keys."""
+    lines = [f'name = "{name}"', 'intensity = "medium"', "tests = 1",
+             "duration = 1.0"]
+    lines += [f"{key} = {value}" for key, value in keys.items()]
+    return ("[campaign]\n" + "\n".join(lines)
+            + '\n[[target]]\nkind = "nonroot-trap"\n')
+
+
 class TestParser:
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
@@ -601,12 +619,67 @@ class TestErrorFunnel:
         ["fig3", "--tests", "1", "--duration", "1", "--timeout", "-1"],
     ])
     def test_invalid_engine_arguments_exit_without_a_traceback(self, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        completed = subprocess.run([sys.executable, "-m", "repro", *argv],
-                                   env=env, capture_output=True, text=True,
-                                   timeout=120)
+        completed = run_repro(*argv)
         assert completed.returncode == 1
         assert "Traceback" not in completed.stderr
         lines = completed.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["--duration", "0"], None, "duration"),
+        (["--duration", "-1"], None, "duration"),
+        (["--duration", "nan"], None, "duration"),
+        (["--duration", "inf"], None, "duration"),
+        (["--seed", "-5"], None, "seed"),
+        ([], config_text("negative-base-seed", base_seed=-3), "seed"),
+        ([], config_text("negative-times", scenario='"lifecycle"',
+                         warmup_time=-1, observe_time=-5), "_time"),
+        ([], config_text("negative-sample-seed", sampling='"random"',
+                         sample_size=2, sample_seed=-1), "sample_seed"),
+    ], ids=["duration-0", "duration-negative", "duration-nan",
+            "duration-inf", "seed-negative", "base-seed-negative",
+            "lifecycle-times-negative", "sample-seed-negative"])
+    def test_specs_that_cannot_give_a_verdict_are_rejected(
+            self, tmp_path, argv, config, named):
+        # Run anyway, each would record a non-answer: a window that never
+        # runs classifies as silent_failure, negative times skip the
+        # injection, a negative seed quarantines every spec as infra_crash.
+        if config is None:
+            source = ["fig3", "--tests", "1", "--duration", "1"]
+        else:
+            (tmp_path / "bad.toml").write_text(config)
+            source = [str(tmp_path / "bad.toml")]
+        output = tmp_path / "records.jsonl"
+        completed = run_repro("run", *source, *argv, "--output", str(output))
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{dir}"],
+        ["report", "{dir}"],
+        ["compare", "{dir}", "{dir}"],
+        ["seooc", "{dir}"],
+        ["watch", "{dir}"],
+        ["merge", "{dir}", "-o", "{tmp}/merged.jsonl"],
+        ["run", "fig3", "--tests", "1", "--duration", "1", "--resume",
+         "{dir}"],
+        ["run", "fig3", "--tests", "1", "--duration", "1", "--output",
+         "{dir}"],
+    ], ids=["analyze", "report", "compare", "seooc", "watch", "merge",
+            "run-resume", "run-output"])
+    def test_a_directory_for_a_record_file_is_one_error_line(self, tmp_path,
+                                                             argv):
+        directory = tmp_path / "records"
+        directory.mkdir()
+        completed = run_repro(*(arg.format(dir=directory, tmp=tmp_path)
+                                for arg in argv))
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        errors = [line for line in completed.stderr.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and str(directory) in errors[0]
+        assert not (tmp_path / "merged.jsonl").exists()

@@ -7,17 +7,21 @@ any experiment observes.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig, PartRef, catalog_config
 from repro.core.experiment import (
+    Experiment,
     ExperimentSpec,
     Scenario,
     SingleBitFlip,
     default_sut_factory,
 )
 from repro.core.plan import TestPlan, paper_figure3_plan
+from repro.core.policy import RunPolicy
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import EveryNCalls, OneShotAtCall
@@ -55,6 +59,32 @@ def shared_prefix_config(*, tests: int = 2, variants: int = 3,
         settle_time=settle,
         intensity="medium",
     )
+
+
+def fast_trigger_config(*, tests: int = 3,
+                        duration: float = 2.0) -> CampaignConfig:
+    """A steady-state family grid whose fast triggers fire in every member."""
+    return CampaignConfig(
+        name="fast-trigger-grid",
+        targets=[PartRef("nonroot-trap"), PartRef("hvc+trap", {"cpus": [1]})],
+        triggers=[PartRef("every-n-calls", {"n": 5}, tag="fast"),
+                  PartRef("every-n-calls", {"n": 10}, tag="mid")],
+        fault_models=[PartRef("single-bit-flip")],
+        scenarios=["steady-state"],
+        intensity="custom",
+        tests=tests,
+        duration=duration,
+    )
+
+
+def campaign_for(config: CampaignConfig) -> Campaign:
+    return Campaign(config.compile(), sut_factory=config.sut_factory(),
+                    classifier=config.build_classifier())
+
+
+def reference_records(config: CampaignConfig, cold_reference) -> list:
+    return records_of(cold_reference(config.compile(), config.sut_factory(),
+                                     config.build_classifier()))
 
 
 class TestPrefixKey:
@@ -182,14 +212,13 @@ class TestPrefixCacheLru:
         # family runs as a plain Experiment.run(), while a larger family
         # captures one for its members and drops it when the family ends.
         config = shared_prefix_config(tests=1, variants=2)
-        config.scenarios = ["lifecycle"]         # scalar forks, no lockstep
         pair = build_work_queue(config.compile())
         single = build_work_queue(paper_figure3_plan(num_tests=1,
                                                      duration=1.0))
         executor = FamilyExecutor(default_sut_factory)
         captured = []
-        for family, step in executor.steps(single + pair):
-            index, result = executor.run_item(family, step[0])
+        for family, item in executor.steps(single + pair):
+            index, result = executor.run_item(family, item)
             captured.append((result.prefix_cache_hit,
                              executor._shared is not None))
         assert captured == [(None, False), (False, True), (True, True)]
@@ -311,7 +340,6 @@ class TestSharedPrefixParity:
         assert result.prefix_cache_stats() == {
             "hits": 0, "misses": 0, "uncached": 3
         }
-        assert result.batch_stats()["batched"] == 0
 
     def test_checkpoint_resume_composes_with_the_cache(self, tmp_path,
                                                        cold_reference):
@@ -327,3 +355,70 @@ class TestSharedPrefixParity:
         assert resumed.prefix_cache_stats() == {
             "hits": 0, "misses": 0, "uncached": 6
         }
+
+
+class TestFastTriggerGrid:
+    """Members whose faults fire early still fork to cold-identical records."""
+
+    def test_fast_trigger_grid_matches_cold_reference(self, cold_reference):
+        config = fast_trigger_config()
+        result = campaign_for(config).run(jobs=1)
+        assert records_of(result) == reference_records(config,
+                                                       cold_reference)
+        assert all(r.injections > 0 for r in result.results)
+
+    def test_pool_execution_matches_cold_reference(self, cold_reference):
+        config = fast_trigger_config()
+        pooled = campaign_for(config).run(jobs=2)
+        assert records_of(pooled) == reference_records(config,
+                                                       cold_reference)
+
+    def test_supervised_execution_matches_cold_reference(self,
+                                                          cold_reference):
+        config = fast_trigger_config(tests=2)
+        reference = reference_records(config, cold_reference)
+        campaign = campaign_for(config)
+        for jobs in (1, 2):
+            supervised = campaign.run(
+                jobs=jobs, policy=RunPolicy(timeout_s=300.0, retries=1))
+            assert records_of(supervised) == reference, jobs
+
+    def test_checkpoint_and_resume(self, tmp_path, cold_reference):
+        checkpoint = str(tmp_path / "ckpt.jsonl")
+        config = fast_trigger_config(tests=2)
+        reference = reference_records(config, cold_reference)
+        campaign = campaign_for(config)
+        first = campaign.run(jobs=1, checkpoint_path=checkpoint)
+        assert records_of(first) == reference
+        resumed = campaign.run(jobs=1, checkpoint_path=checkpoint,
+                               resume=True)
+        assert records_of(resumed) == reference
+        assert resumed.prefix_cache_stats()["uncached"] == len(resumed)
+
+    def test_every_member_runs_the_suffix_once_and_forks(self, monkeypatch):
+        # One execution path for every family member: the member that runs
+        # the prefix and each fork pass through run_from_snapshot exactly
+        # once, and a family of n members forks n - 1 times.
+        suffixes = Counter()
+        forks = Counter()
+        run_from_snapshot = Experiment.run_from_snapshot
+        fork_from_snapshot = JailhouseSUT.fork_from_snapshot
+
+        def counting_suffix(self, sut, **kwargs):
+            suffixes[self.spec.identity()] += 1
+            return run_from_snapshot(self, sut, **kwargs)
+
+        def counting_fork(self, snapshot, *, seed=None):
+            forks[seed] += 1
+            return fork_from_snapshot(self, snapshot, seed=seed)
+
+        monkeypatch.setattr(Experiment, "run_from_snapshot", counting_suffix)
+        monkeypatch.setattr(JailhouseSUT, "fork_from_snapshot", counting_fork)
+        config = fast_trigger_config(tests=2)
+        plan = config.compile()
+        families = group_by_prefix(build_work_queue(plan))
+        assert [len(family) for family in families] == [4, 4]
+        campaign_for(config).run(jobs=1)
+        assert suffixes == Counter(spec.identity() for spec in plan)
+        assert forks == Counter({family.items[0].spec.seed: len(family) - 1
+                                 for family in families})

@@ -15,7 +15,7 @@ from repro.core.plan import TestPlan, paper_figure3_plan
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import EveryNCalls
-from repro.errors import CampaignError
+from repro.errors import CampaignError, PlanError
 from repro.hypervisor.config import freertos_cell_config
 from repro.hypervisor.hypercalls import Hypercall, ReturnCode
 
@@ -57,6 +57,22 @@ class TestExperimentErrorPaths:
     def test_campaign_rejects_an_empty_plan(self):
         with pytest.raises(CampaignError):
             Campaign(TestPlan(name="empty"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", 0.0), ("duration", float("nan")), ("seed", -1),
+        ("settle_time", -1.0), ("warmup_time", float("inf")),
+        ("observe_time", -5.0),
+    ])
+    def test_campaign_rejects_a_spec_that_cannot_give_a_verdict(self, field,
+                                                                value):
+        spec = ExperimentSpec(
+            name="no-verdict", target=InjectionTarget.nonroot_cpu_trap(),
+            trigger=EveryNCalls(100), fault_model=SingleBitFlip(),
+            duration=2.0, seed=0,
+        )
+        setattr(spec, field, value)
+        with pytest.raises(PlanError, match=field):
+            Campaign(TestPlan(name="bad", specs=[spec]))
 
 
 class TestHypervisorRobustnessUnderManagementRaces:

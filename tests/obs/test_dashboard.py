@@ -85,7 +85,7 @@ class TestFleetRollup:
         hub = TelemetryHub()
         bus = Telemetry()
         bus.subscribe(hub.on_event)
-        bus.emit("batch_formed", batch_id="b1", lanes=4)
+        bus.emit("checkpoint_flush", path="ckpt.jsonl", records=4)
         fleet = hub.metrics()["fleet"]
         assert fleet["active"] is False
         assert fleet["records_merged"] == 0

@@ -1,12 +1,14 @@
 """Property test for the campaign config parser, a trust boundary.
 
 Configs arrive from users' TOML/JSON files and, through the fleet, over the
-wire. Whatever they hold, parsing answers with a typed ``ReproError`` (the
-CLI's one ``error:`` line and exit code), never a ``ValueError`` or
-``TypeError`` traceback.
+wire. Whatever they hold, parsing and compiling answer with a typed
+``ReproError`` (the CLI's one ``error:`` line and exit code), never a
+``ValueError`` or ``TypeError`` traceback, and every spec a compiled plan
+holds can give a verdict.
 """
 
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,6 +18,9 @@ from repro.core.config import (
     load_campaign_config,
 )
 from repro.errors import ReproError
+
+#: Compiling is bounded by clamping ``tests`` and ``sample_size`` to this.
+MAX_COMPILED_TESTS = 3
 
 #: Anything a JSON document can hold.
 json_values = st.recursive(
@@ -48,6 +53,31 @@ def campaign_configs(draw):
     return data
 
 
+#: The ``[campaign]`` keys that take a number and shape the compiled plan.
+NUMERIC_KEYS = ("tests", "base_seed", "duration", "settle_time",
+                "warmup_time", "observe_time", "sample_size", "sample_seed",
+                "high_intensity_registers")
+
+
+@st.composite
+def numeric_configs(draw):
+    """A valid config whose numeric keys take any number, NaN included.
+
+    Arbitrary configs rarely get past parsing; these reach ``compile()``.
+    """
+    campaign = {
+        "name": "fuzz",
+        "intensity": draw(st.sampled_from(["medium", "high"])),
+        "scenario": draw(st.sampled_from(
+            ["steady-state", "lifecycle", "repeated-lifecycle",
+             "park-and-recover"])),
+        "sampling": draw(st.sampled_from(["grid", "random"])),
+    }
+    campaign.update(draw(st.dictionaries(
+        st.sampled_from(NUMERIC_KEYS), st.integers() | st.floats())))
+    return {"campaign": campaign, "target": [{"kind": "nonroot-trap"}]}
+
+
 class TestCampaignConfigParsing:
     @given(data=campaign_configs() | json_values)
     @settings(max_examples=300, deadline=None,
@@ -68,3 +98,31 @@ class TestCampaignConfigParsing:
                 parse()
             except ReproError:
                 pass
+
+    @given(data=numeric_configs() | campaign_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_specs_can_give_a_verdict(self, data):
+        """Property: ``compile()`` raises only ReproError, and each spec it
+        returns has a finite duration > 0, a seed >= 0 and finite
+        settle/warmup/observe times >= 0.
+
+        ``tests`` and ``sample_size`` are clamped after parsing, so the
+        plan stays small whatever the config asks for.
+        """
+        try:
+            config = CampaignConfig.from_dict(data)
+        except ReproError:
+            return
+        config.tests = min(config.tests, MAX_COMPILED_TESTS)
+        if config.sample_size is not None:
+            config.sample_size = min(config.sample_size, MAX_COMPILED_TESTS)
+        try:
+            plan = config.compile()
+        except ReproError:
+            return
+        for spec in plan:
+            assert math.isfinite(spec.duration) and spec.duration > 0
+            assert spec.seed >= 0
+            for value in (spec.settle_time, spec.warmup_time,
+                          spec.observe_time):
+                assert math.isfinite(value) and value >= 0
