@@ -91,10 +91,11 @@ def time_against_cold_reference(
 
     The per-spec cold reference runs every spec through its own
     ``Experiment.run()`` in plan order, outside the engine: a fresh system
-    under test per spec. The engine runs the same plan at ``jobs=1``, pooling
-    its SUT and forking prefix families from their snapshots. Returns
-    ``(reference_wall_s, engine_wall_s, engine_result)``
-    and raises when any engine record differs from the reference.
+    under test per spec. The engine runs the same plan at ``jobs=1``,
+    building one SUT per prefix family and forking the family's other
+    members from its snapshot. Returns ``(reference_wall_s, engine_wall_s,
+    engine_result)`` and raises when any engine record differs from the
+    reference.
     """
     reference_wall = engine_wall = float("inf")
     for _ in range(repeats):

@@ -10,8 +10,9 @@ the trajectory:
 * **experiment** — single steady-state experiment latency (the unit the
   paper runs thousands of);
 * **campaign** — wall-clock of a small ``jobs=1`` fig3 campaign through the
-  engine (which pools its SUT) against the per-spec cold reference (a fresh
-  SUT per spec); the run aborts if any record differs.
+  engine against the per-spec cold reference (a fresh SUT per spec, outside
+  the engine); the run aborts if any record differs. The engine's time keeps
+  its historical key, ``pooled_wall_s``, so the schema stays stable.
 
 A ``calibration_s`` measurement (a fixed pure-Python spin loop) is recorded
 alongside, so regression checks can normalise out machine-speed differences:
@@ -142,13 +143,13 @@ def bench_experiment(duration: float, repeats: int) -> dict:
 
 def bench_campaign(tests: int, duration: float, repeats: int) -> dict:
     plan = paper_figure3_plan(num_tests=tests, duration=duration)
-    cold, pooled, _ = time_against_cold_reference(plan, repeats)
+    cold, engine, _ = time_against_cold_reference(plan, repeats)
     return {
         "tests": tests,
         "sim_duration_s": duration,
         "jobs": 1,
         "cold_wall_s": cold,
-        "pooled_wall_s": pooled,
+        "pooled_wall_s": engine,
     }
 
 
@@ -238,7 +239,7 @@ def render(report: dict) -> str:
         f"({experiment['wall_per_sim_second_s']*1000:.2f} ms/sim-s)",
         f"campaign {campaign['tests']}x{campaign['sim_duration_s']:.0f}s "
         f"jobs=1: per-spec cold reference "
-        f"{campaign['cold_wall_s']*1000:.0f} ms, engine (pooled) "
+        f"{campaign['cold_wall_s']*1000:.0f} ms, engine "
         f"{campaign['pooled_wall_s']*1000:.0f} ms",
     ]
     return "\n".join(lines)

@@ -1,8 +1,8 @@
 """Static contract checker for the repro codebase (``repro-fi check``).
 
-Every multiplier this repo ships — the family executor's pooled SUTs and
-prefix forks, the multi-host fleet — rests on invariants that are invisible
-to the type system: records must be byte-identical across execution
+Every multiplier this repo ships — the family executor's prefix forks, the
+multi-host fleet — rests on invariants that are invisible to the type
+system: records must be byte-identical across execution
 strategies, ``snapshot_state`` must deep-copy every mutable field, telemetry
 must cost nothing when disabled, threaded state must stay under its lock,
 wire-format version strings must mean exactly one thing, and declarative

@@ -1,11 +1,10 @@
 """Rule ``snapshot-complete``: ``snapshot_state`` covers what mutates.
 
-The family executor's pooled SUTs and prefix forks both restore
-simulations from snapshots; a mutable field that is missing from — or
-*aliased into* — a snapshot corrupts every fork sharing it (the mutable
-``ParkRecord`` bug). For every class implementing ``snapshot_state`` this
-rule cross-checks the attributes assigned in ``__init__`` against the
-snapshot body:
+The family executor's prefix forks restore simulations from snapshots; a
+mutable field that is missing from — or *aliased into* — a snapshot
+corrupts every fork sharing it (the mutable ``ParkRecord`` bug). For every
+class implementing ``snapshot_state`` this rule cross-checks the attributes
+assigned in ``__init__`` against the snapshot body:
 
 * an attribute mutated anywhere after construction (including by
   ``restore_state``) must be *read* by ``snapshot_state``;

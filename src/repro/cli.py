@@ -65,8 +65,9 @@ a killed campaign picks up where it left off. ``--sut`` selects the system
 under test by registry name (``jailhouse``, ``bao-like``, ``no-isolation``,
 or any plugin-registered variant); spec identities do not depend on the SUT,
 so the same checkpoint drives campaigns against every variant. The engine
-decides by itself how to run each prefix family (pooled SUTs, prefix forks)
-without changing any record — see the README's Performance guide.
+builds one fresh system under test per prefix family and forks the family's
+other members from its snapshot, without changing any record — see the
+README's Performance guide.
 
 Every campaign runs supervised under one
 :class:`~repro.core.policy.RunPolicy`, the same one the library and the
@@ -81,6 +82,7 @@ over the defaults (one retry, eight worker restarts, no timeout) for
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -148,6 +150,17 @@ def _build_target(handler: str, cpu: Optional[int]) -> InjectionTarget:
                                cpu_filter=frozenset(cpus) if cpus else None)
     return InjectionTarget(handlers=(handler,),
                            cpu_filter=frozenset(cpus) if cpus else None)
+
+
+def _refuse_directories(*paths: Optional[str]) -> None:
+    """Fail before any work starts when a record file path is a directory.
+
+    Opening it would fail only after the campaign ran, the fleet was waited
+    for or the ``watch`` dashboard started serving.
+    """
+    for path in paths:
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
 
 
 def _save_records(result, output: Optional[str]) -> None:
@@ -248,6 +261,7 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
     crashing or hanging spec is retried and then quarantined rather than
     taking the whole run down.
     """
+    _refuse_directories(args.output, args.resume, args.telemetry)
     policy = _policy(args, policy)
     telemetry, hub, server = _observability(plan, args)
     callbacks = []
@@ -578,10 +592,11 @@ def _tail_lines(path: Path, *, poll_s: float, deadline: float,
     that are not UTF-8 decode as ``DECODE_ERRORS`` stand-ins, so the caller's
     ``ExperimentRecord.from_json`` rejects that one line.
 
-    The file shrinking under the reader (rotation, truncation, or the
-    engine's atomic checkpoint rewrite landing a shorter file) is tolerated:
-    the tailer re-seeks to offset 0, drops its partial-line buffer, and
-    calls ``on_rotate(previous_offset, new_size)`` so the caller can log it.
+    The file shrinking under the reader (rotation, truncation, or a
+    checkpoint that its torn-tail repair or stale-record pruning rewrote
+    shorter) is tolerated: the tailer re-seeks to offset 0, drops its
+    partial-line buffer, and calls ``on_rotate(previous_offset, new_size)``
+    so the caller can log it.
     """
     offset = 0
     buffer = b""
@@ -621,6 +636,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.obs.server import WatchServer
     from repro.obs.telemetry import Telemetry
 
+    _refuse_directories(args.records)
     records_path = Path(args.records)
     hub = TelemetryHub()
     hub.set_campaign(records_path.stem, total=args.total,
@@ -828,6 +844,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a campaign to a running coordinator; optionally wait for it."""
     from repro.fleet.protocol import FleetClient
 
+    _refuse_directories(args.output)
     config = _resolve_campaign_config(args.config, tests=args.tests,
                                       duration=args.duration, seed=args.seed)
     client = FleetClient(args.url)

@@ -22,7 +22,7 @@ from repro.core.experiment import (
     default_sut_factory,
 )
 from repro.core.outcomes import Outcome, OutcomeClassifier
-from repro.core.plan import TestPlan
+from repro.core.plan import TestPlan, verdict_problem
 from repro.core.policy import RunPolicy
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.core.registry import resolve_sut_factory
@@ -97,8 +97,8 @@ class CampaignResult:
 
         ``hits`` forked from their family's pre-injection snapshot,
         ``misses`` executed (and snapshotted) their family's prefix,
-        ``uncached`` ran without one (singleton families, cold-boot
-        opt-outs, resumed records, SUTs without snapshot support).
+        ``uncached`` ran without one (singleton families, resumed records,
+        SUTs without snapshot support).
         Execution bookkeeping, not part of the persisted records.
         """
         hits = sum(1 for result in self.results
@@ -142,7 +142,12 @@ class Campaign:
         This mirrors the paper's profiling of "golden (fault-free) runs of the
         hypervisor in order to find preliminary fault injection points": the
         report includes the per-handler call counts observed without faults.
+        A duration or seed that can never give a verdict raises
+        :class:`~repro.errors.CampaignError` before anything runs.
         """
+        problem = verdict_problem(duration, seed)
+        if problem is not None:
+            raise CampaignError(f"golden run {problem}")
         sut = self.sut_factory(seed)
         try:
             sut.setup()
@@ -190,10 +195,10 @@ class Campaign:
         across a process pool. ``checkpoint_path`` streams completed records
         to an append-only file; with ``resume=True`` specs whose records
         already exist there are restored instead of re-executed. However it
-        runs, every process reuses one system under test and runs each
-        prefix family's pre-injection prefix once, forking the other members
-        from its snapshot — with records identical to running each spec on a
-        fresh system under test (``cold_boot=True`` specs opt out).
+        runs, each prefix family builds one fresh system under test and runs
+        its pre-injection prefix once, forking the other members from its
+        snapshot — with records identical to running each spec on a fresh
+        system under test.
         ``telemetry`` attaches a :class:`~repro.obs.telemetry.Telemetry` bus
         for live observability (structured events + the ``watch``
         dashboard). Execution is always

@@ -127,10 +127,6 @@ class ExperimentSpec:
     observe_time: float = 10.0
     seed: int = 0
     intensity: str = "custom"
-    #: Opt this spec out of SUT pooling and prefix forks: the engine builds
-    #: a brand-new system under test for it and runs it as a plain
-    #: ``Experiment.run()``. Not part of the spec identity.
-    cold_boot: bool = False
 
     def describe(self) -> str:
         return (
@@ -163,24 +159,21 @@ class ExperimentSpec:
         ))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-    def prefix_key(self, *, sut: str = "") -> str:
+    def prefix_key(self) -> str:
         """Stable identity of this spec's *pre-injection prefix*.
 
-        Two specs hash identically exactly when they execute the same golden
-        bring-up before the injector is armed — same scenario, same system
-        under test (``sut`` is the engine-supplied factory token), same seed
-        (the guest RNG streams diverge per seed from the first boot draw),
-        and the same prefix timing. Only the phases executed *before* arming
-        matter: steady-state and park-and-recover settle for ``settle_time``
-        after the fault-free bring-up, while the lifecycle scenarios arm
+        Two specs of one campaign (which runs one system under test) hash
+        identically exactly when they execute the same golden bring-up
+        before the injector is armed — same scenario, same seed (the guest
+        RNG streams diverge per seed from the first boot draw), and the same
+        prefix timing. Only the phases executed *before* arming matter:
+        steady-state and park-and-recover settle for ``settle_time`` after
+        the fault-free bring-up, while the lifecycle scenarios arm
         immediately after :meth:`~repro.core.sut.SystemUnderTest.setup` —
         so specs that differ only in target, trigger, fault model, duration,
         or post-arm timing share one prefix and can fork from one snapshot.
-
-        Triggers normally contribute nothing (call-count triggers observe
-        only post-arm calls); a trigger whose
-        :meth:`~repro.core.triggers.Trigger.prefix_component` returns a
-        fast-forwardable coordinate splits families on it.
+        Triggers contribute nothing: every trigger observes only the handler
+        calls made after the injector is armed.
         """
         # The two lifecycle scenarios execute the identical prefix (the bare
         # boot), so they share one family; steady-state and park-and-recover
@@ -191,15 +184,9 @@ class ExperimentSpec:
             prefix_class = "post-setup"
         else:
             prefix_class = self.scenario.value
-        parts = [prefix_class, str(self.seed), sut]
+        parts = [prefix_class, str(self.seed)]
         if self.scenario in (Scenario.STEADY_STATE, Scenario.PARK_AND_RECOVER):
             parts.append(f"settle={self.settle_time:g}")
-        component = None
-        prefix_component = getattr(self.trigger, "prefix_component", None)
-        if prefix_component is not None:
-            component = prefix_component()
-        if component is not None:
-            parts.append(f"trigger={component}")
         payload = "|".join(parts)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -272,8 +259,8 @@ class Experiment:
         Composes :meth:`run_prefix` (golden bring-up to the injection point)
         and :meth:`run_from_snapshot` (arm, inject, classify), which is
         exactly what the engine's prefix fast-forward path executes — the two
-        paths share every line, so cached campaigns are bit-identical to
-        cold ones by construction.
+        paths share every line, so forked family members are bit-identical
+        to cold runs by construction.
         """
         started = time.perf_counter()
         sut = self.sut_factory(self.spec.seed)

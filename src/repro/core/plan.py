@@ -23,20 +23,20 @@ from repro.core.triggers import EveryNCalls, Trigger
 from repro.errors import CampaignError, PlanError
 
 
-def _verdict_problem(spec: ExperimentSpec) -> Optional[str]:
-    """Why ``spec`` can never give a verdict, or ``None`` when it can.
+def verdict_problem(duration: float, seed: int,
+                    **phase_times: float) -> Optional[str]:
+    """Why a run can never give a verdict, or ``None`` when it can.
 
     A window that never runs still classifies (as ``silent_failure``), a
     negative time skips its phase, and a negative seed fails inside the
-    experiment as ``infra_crash``; none of them says anything about the
-    system under test.
+    run; none of them says anything about the system under test. Plan
+    validation and the golden run share this rule.
     """
-    if not (math.isfinite(spec.duration) and spec.duration > 0):
-        return f"needs a finite duration > 0 s, got {spec.duration!r}"
-    if spec.seed < 0:
-        return f"needs a seed >= 0, got {spec.seed!r}"
-    for name in ("settle_time", "warmup_time", "observe_time"):
-        value = getattr(spec, name)
+    if not (math.isfinite(duration) and duration > 0):
+        return f"needs a finite duration > 0 s, got {duration!r}"
+    if seed < 0:
+        return f"needs a seed >= 0, got {seed!r}"
+    for name, value in phase_times.items():
         if not (math.isfinite(value) and value >= 0):
             return f"needs a finite {name} >= 0 s, got {value!r}"
     return None
@@ -99,7 +99,9 @@ class TestPlan:
                 f"fallback key"
             )
         for spec in self.specs:
-            problem = _verdict_problem(spec)
+            problem = verdict_problem(
+                spec.duration, spec.seed, settle_time=spec.settle_time,
+                warmup_time=spec.warmup_time, observe_time=spec.observe_time)
             if problem is not None:
                 raise PlanError(
                     f"test plan {self.name!r}: experiment {spec.name!r} "

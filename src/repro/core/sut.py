@@ -38,7 +38,6 @@ from repro.hypervisor.config import (
 from repro.hypervisor.core import Hypervisor, HypervisorState
 from repro.hypervisor.handlers import TrapResult
 from repro.hypervisor.traps import TrapCode, encode_hsr
-from repro.rng import seeded_rng
 
 # Enum members the step loop compares by identity, bound once: a class
 # attribute lookup on an enum costs several times a module global.
@@ -150,36 +149,11 @@ class JailhouseSUT(SystemUnderTest):
         #: default: :meth:`run` checks it once per call, never per step, so
         #: an uninstrumented SUT runs the exact historical hot path.
         self.telemetry = None
-        #: Snapshot-pooling state: ``_pristine`` is the post-construction
-        #: state (captured when pooling is enabled), ``_boot_snapshot`` the
-        #: post-``setup()`` steady state for the current seed.
-        self._pooling = False
-        self._pristine: Optional[SutSnapshot] = None
-        self._boot_snapshot: Optional[SutSnapshot] = None
-        #: Seed the boot snapshot was captured under. ``config.seed`` can be
-        #: re-stamped by :meth:`fork_from_snapshot` without re-booting, so
-        #: the pair is what tells :meth:`setup` the snapshot is still valid.
-        self._boot_snapshot_seed: Optional[int] = None
 
     # -- setup ---------------------------------------------------------------------------
 
     def setup(self) -> None:
-        """Boot to the steady state: restore the boot snapshot if one exists.
-
-        With snapshot pooling enabled, the first ``setup()`` cold-boots and
-        captures the steady state; later ``setup()`` calls (after a
-        :meth:`teardown` between experiments) restore it instead of
-        re-running the boot sequence. Without pooling this is always the cold
-        boot path.
-        """
-        if self._boot_snapshot is not None:
-            if self._boot_snapshot_seed == self.config.seed:
-                self.restore(self._boot_snapshot)
-                return
-            # The boot snapshot belongs to another seed: the family executor
-            # forked this SUT across families since it was captured. Rewind
-            # to the pristine state and cold-boot for the current seed.
-            self.reset_for_seed(self.config.seed)
+        """Boot to the steady state: power on, enable, boot the root cell."""
         self.board.power_on()
         system_config = bananapi_system_config()
         result = self.cli.enable(system_config)
@@ -190,19 +164,16 @@ class JailhouseSUT(SystemUnderTest):
         self.linux.attach(root, self.board)
         self.linux.boot()
         self._log_collector.start(self.board.clock.now)
-        if self._pooling:
-            self._boot_snapshot = self.snapshot()
-            self._boot_snapshot_seed = self.config.seed
 
-    # -- snapshot / restore / pooling ------------------------------------------------------
+    # -- snapshot / restore ----------------------------------------------------------------
 
     def snapshot(self) -> SutSnapshot:
         """Capture the full mutable state of the deployment.
 
         Injector hooks installed on the handlers are captured too (as
         references); a snapshot is normally taken with no injector installed
-        — the engine snapshots the fault-free steady state right after
-        :meth:`setup`.
+        — the engine snapshots the fault-free state a prefix family reaches
+        at its injection point.
         """
         return SutSnapshot(
             board=self.board.snapshot_state(),
@@ -225,8 +196,7 @@ class JailhouseSUT(SystemUnderTest):
         self._lifecycle_done = snapshot.lifecycle_done
         self.injectors.clear()
 
-    def fork_from_snapshot(self, snapshot: SutSnapshot, *,
-                           seed: Optional[int] = None) -> None:
+    def fork_from_snapshot(self, snapshot: SutSnapshot) -> None:
         """Rewind to ``snapshot`` to run another fault variant from it.
 
         The prefix fast-forward path executes one golden bring-up per prefix
@@ -234,44 +204,11 @@ class JailhouseSUT(SystemUnderTest):
         every variant of that family from the snapshot instead of re-running
         the bring-up. Restoring is in place (the snapshot must have been
         taken on this SUT's object graph) and leaves no injector installed.
-
-        ``seed`` re-stamps :attr:`SutConfig.seed`, which is construction
-        metadata and not part of the snapshot; the RNG streams themselves are
-        restored bit-exactly from the snapshot, so a forked run replays the
-        exact draws a cold boot with that seed would make.
+        A family's members share one seed (it is part of their prefix key)
+        and the RNG streams are restored bit-exactly, so a forked run replays
+        the exact draws a cold boot would make.
         """
         self.restore(snapshot)
-        if seed is not None:
-            self.config.seed = seed
-
-    def enable_snapshot_pooling(self) -> None:
-        """Opt this SUT into snapshot/reset pooling (used by the engine).
-
-        Must be called before the first :meth:`setup`; captures the pristine
-        post-construction state so :meth:`reset_for_seed` can later retarget
-        the same object graph to a different experiment seed.
-        """
-        if self._pooling:
-            return
-        self._pooling = True
-        self._pristine = self.snapshot()
-
-    def reset_for_seed(self, seed: int) -> None:
-        """Retarget a pooled SUT to a new seed without rebuilding it.
-
-        Restores the pristine post-construction state and re-seeds the guest
-        RNG streams exactly as ``JailhouseSUT(SutConfig(seed=seed))`` would,
-        so the subsequent cold :meth:`setup` (which re-captures the boot
-        snapshot) is bit-identical to a freshly constructed SUT.
-        """
-        if self._pristine is None:
-            raise CampaignError("snapshot pooling is not enabled on this SUT")
-        self.restore(self._pristine)
-        self._boot_snapshot = None
-        self._boot_snapshot_seed = None
-        self.config.seed = seed
-        self.linux.rng = seeded_rng(seed)
-        self.freertos.rng = seeded_rng(seed + 1)
 
     def install_injector(self, injector: FaultInjector) -> None:
         injector.install(self.hypervisor.handlers)

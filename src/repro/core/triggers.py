@@ -10,7 +10,7 @@ targeted isolation experiments.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.registry import TRIGGERS
 from repro.errors import InjectionError
@@ -28,21 +28,6 @@ class Trigger(abc.ABC):
 
     def reset(self) -> None:
         """Reset internal state between experiments (default: nothing)."""
-
-    def prefix_component(self) -> Optional[str]:
-        """What the pre-injection prefix depends on for this trigger.
-
-        ``None`` (the default, and correct for every call-count trigger)
-        means the trigger only observes handler calls made *after* the
-        injector is armed, so any trigger of any class can fork from the same
-        pre-injection snapshot — the trigger contributes nothing to
-        :meth:`~repro.core.experiment.ExperimentSpec.prefix_key`. A trigger
-        that instead requires the prefix to be fast-forwarded to a specific
-        point (say, an absolute arm time) must return that fast-forwardable
-        coordinate here so specs differing in it land in different prefix
-        families.
-        """
-        return None
 
     def describe(self) -> str:
         return type(self).__name__

@@ -79,23 +79,17 @@ class PrefixFamily:
         return len(self.items)
 
 
-def group_by_prefix(items: Sequence[WorkItem], *,
-                    sut_token: str = "") -> List[PrefixFamily]:
+def group_by_prefix(items: Sequence[WorkItem]) -> List[PrefixFamily]:
     """Group the queue into prefix families, in first-appearance order.
 
     Grouping is fully determined by the queue: families appear in the order
     their first member does, and members keep their relative queue order —
     no randomness, no timing, so repeated runs schedule identically.
-    Specs opting out of snapshot reuse (``cold_boot=True``) are isolated
-    into singleton families keyed by their plan position, so they never
-    share (or populate) a snapshot.
     """
     buckets: Dict[str, List[WorkItem]] = {}
     order: List[str] = []
     for item in items:
-        key = item.spec.prefix_key(sut=sut_token)
-        if item.spec.cold_boot:
-            key = f"{key}!cold@{item.index}"
+        key = item.spec.prefix_key()
         bucket = buckets.get(key)
         if bucket is None:
             bucket = buckets[key] = []

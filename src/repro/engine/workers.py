@@ -1,12 +1,12 @@
 """Execution of experiment specs: one family executor, two backends.
 
 Each experiment's outcome is a pure function of its spec and seed, so a
-campaign may be executed in any order, in any process, and with any amount
-of shared state, as long as every record comes out byte-identical to running
-each spec on a freshly built system under test. :class:`FamilyExecutor` is
-the one place that exploits this: it groups the work queue into prefix
-families (:func:`~repro.engine.scheduler.group_by_prefix`) and decides from
-each family's shape how to run it. Results stream out as ``(plan index,
+campaign may be executed in any order and in any process, as long as every
+record comes out byte-identical to running each spec on a freshly built
+system under test. :class:`FamilyExecutor` is the one place that exploits
+this: it builds one system under test per prefix family
+(:func:`~repro.engine.scheduler.group_by_prefix`) and forks a family's other
+members from its snapshot. Results stream out as ``(plan index,
 ExperimentResult)`` pairs; re-assembly by index happens in the parent.
 
 Two backends drive the same executor:
@@ -63,66 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 IndexedResult = Tuple[int, ExperimentResult]
 
 
-class PooledSutFactory:
-    """SUT factory with snapshot/reset pooling.
-
-    Keeps one system under test per process and retargets it between
-    experiments instead of rebuilding the whole board + hypervisor + guest
-    stack: a spec re-running the seed the SUT last booted restores the
-    post-``setup()`` snapshot directly, any other seed restores the pristine
-    post-construction state and re-seeds the guest RNG streams before the
-    (much cheaper) warm boot. Outcomes are bit-identical to cold boots — the
-    campaign-parity tests assert it record for record.
-
-    SUTs that do not implement the pooling protocol
-    (``enable_snapshot_pooling``/``reset_for_seed``) fall back to a cold
-    build per call, as do specs marked ``cold_boot=True`` (handled by the
-    caller via :attr:`base`).
-    """
-
-    def __init__(self, base: SutFactory) -> None:
-        self.base = base
-        self._sut = None
-
-    def __call__(self, seed: int):
-        sut = self._sut
-        if sut is None:
-            sut = self.base(seed)
-            enable = getattr(sut, "enable_snapshot_pooling", None)
-            if enable is None:
-                return sut           # SUT cannot pool: plain cold boot
-            enable()
-            self._sut = sut
-            return sut
-        if sut.config.seed != seed:
-            sut.reset_for_seed(seed)
-        return sut
-
-    def reset(self) -> None:
-        """Drop the pooled SUT so the next call builds a fresh one.
-
-        Called after an in-process timeout or experiment error: an
-        interrupted run can leave the pooled object graph mid-boot, and a
-        retry must start from a provably clean state.
-        """
-        self._sut = None
-
-
-def sut_token(sut_factory: SutFactory) -> str:
-    """Deterministic identity of a SUT factory for prefix-key derivation.
-
-    Registry-backed factories hash by key + params (stable across processes
-    and runs); ad-hoc callables fall back to their qualified name. The token
-    only has to separate *different* SUT definitions within one campaign.
-    """
-    key = getattr(sut_factory, "key", None)
-    if key is not None:
-        params = getattr(sut_factory, "params", {})
-        return f"{key}:{sorted(params.items())!r}"
-    qualname = getattr(sut_factory, "__qualname__", None)
-    return qualname or type(sut_factory).__name__
-
-
 def _can_fork(sut: object) -> bool:
     return (getattr(sut, "snapshot", None) is not None
             and getattr(sut, "fork_from_snapshot", None) is not None)
@@ -163,9 +103,9 @@ class FamilyExecutor:
     """Runs a work queue prefix family by prefix family, in one process.
 
     The serial backend and every pool worker run their items through this
-    one object. It keeps the process's pooled system under test
-    (:class:`PooledSutFactory`) and, while a family runs, that family's
-    post-prefix snapshot:
+    one object. The first member of every family builds a fresh system
+    under test through the resolved factory; while a larger family runs,
+    the executor keeps that SUT and its post-prefix snapshot:
 
     * a singleton family runs as a plain :meth:`Experiment.run`, leaving
       ``prefix_cache_hit`` as ``None``;
@@ -173,17 +113,14 @@ class FamilyExecutor:
       other member from the snapshot (``prefix_cache_hit`` ``False`` for the
       member that ran the prefix, ``True`` for the forks).
 
-    ``cold_boot`` specs opt out of both: they build their own SUT and form
-    singleton families. Supervision stays with the backends, which run each
-    item of :meth:`steps` under their own policy.
+    Supervision stays with the backends, which run each item of
+    :meth:`steps` under their own policy.
     """
 
     def __init__(self, sut_factory: "SutFactory | str",
                  classifier: Optional[OutcomeClassifier] = None) -> None:
-        base = resolve_sut_factory(sut_factory)
-        self.sut_factory = PooledSutFactory(base)
+        self.sut_factory = resolve_sut_factory(sut_factory)
         self.classifier = classifier or OutcomeClassifier()
-        self.sut_token = sut_token(base)
         #: The running family's (SUT, post-prefix snapshot), once captured.
         #: Every schedule runs a family contiguously, so one slot suffices.
         self._shared: Optional[Tuple[object, object]] = None
@@ -195,24 +132,19 @@ class FamilyExecutor:
         Each pair runs through :meth:`run_item`. A family's snapshot is
         dropped as soon as its last member has been taken.
         """
-        for family in group_by_prefix(items, sut_token=self.sut_token):
+        for family in group_by_prefix(items):
             for item in family.items:
                 yield family, item
             self._shared = None
 
     def reset(self) -> None:
-        """Scrub process state after an interrupted or failed step."""
-        self.sut_factory.reset()
+        """Drop the family snapshot: a retry builds a fresh SUT."""
         self._shared = None
-
-    def _experiment(self, spec) -> Experiment:
-        factory = self.sut_factory.base if spec.cold_boot else self.sut_factory
-        return Experiment(spec, sut_factory=factory,
-                          classifier=self.classifier)
 
     def run_item(self, family: PrefixFamily, item: WorkItem) -> IndexedResult:
         """Run one member of ``family``."""
-        experiment = self._experiment(item.spec)
+        experiment = Experiment(item.spec, sut_factory=self.sut_factory,
+                                classifier=self.classifier)
         if len(family) < 2:
             result = experiment.run()
         else:
@@ -226,20 +158,19 @@ class FamilyExecutor:
     def _run_member(self, experiment: Experiment) -> ExperimentResult:
         """Fork from the family snapshot, or run the prefix and capture it.
 
-        SUTs that cannot snapshot (baseline models) run every member cold,
-        with ``prefix_cache_hit`` left ``None``.
+        SUTs that cannot snapshot run every member cold, with
+        ``prefix_cache_hit`` left ``None``.
         """
-        spec = experiment.spec
         started = time.perf_counter()
         hit = None
         if self._shared is None:
-            sut = experiment.sut_factory(spec.seed)
+            sut = experiment.sut_factory(experiment.spec.seed)
         else:
             sut, snapshot = self._shared
             hit = True
         try:
             if hit:
-                sut.fork_from_snapshot(snapshot, seed=spec.seed)
+                sut.fork_from_snapshot(snapshot)
             else:
                 experiment.run_prefix(sut)
                 if _can_fork(sut):
@@ -381,7 +312,7 @@ def execute_pool(items: Sequence[WorkItem],
         yield from execute_serial(items, sut_factory, classifier,
                                   policy=policy, on_event=on_event)
         return
-    families = group_by_prefix(items, sut_token=sut_token(sut_factory))
+    families = group_by_prefix(items)
     # min_shards keeps the pool busy when there are fewer families than
     # workers: oversized families are sliced, each slice re-paying the
     # prefix once in its worker.

@@ -1,11 +1,11 @@
 """Seeded random generators, the one place that imports numpy.
 
 Every draw an experiment makes comes from a generator :func:`seeded_rng`
-creates: the guests' streams (``GuestOS.rng``, re-seeded by
-``JailhouseSUT.reset_for_seed``), the fault injector's, and random sampling
-in ``CampaignConfig.compile``. numpy is imported by the first call, not by
-``import repro``: reading records (``analyze``, ``report``, ``compare``),
-``list`` and ``check`` never draw, so they run without numpy installed.
+creates: the guests' streams (``GuestOS.rng``), the fault injector's, and
+random sampling in ``CampaignConfig.compile``. numpy is imported by the
+first call, not by ``import repro``: reading records (``analyze``,
+``report``, ``compare``), ``list`` and ``check`` never draw, so they run
+without numpy installed.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ def run_cold_reference(plan, sut_factory=default_sut_factory,
 
     Each spec runs through its own ``Experiment(spec, ...).run()`` in plan
     order, outside the engine: a fresh system under test per spec, no
-    pooling, no prefix forks, no worker processes. Whatever the engine does
-    to go faster, its records must equal these.
+    prefix forks, no worker processes. Whatever the engine does to go
+    faster, its records must equal these.
     """
     factory = resolve_sut_factory(sut_factory)
     return CampaignResult(plan_name=plan.name, results=[

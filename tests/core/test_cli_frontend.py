@@ -78,6 +78,24 @@ class TestGolden:
         assert "handler calls" in out
         assert "arch_handle_trap" in out
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--duration", "0"], "duration"),
+        (["--duration", "-5"], "duration"),
+        (["--duration", "nan"], "duration"),
+        (["--duration", "inf"], "duration"),
+        (["--seed", "-3"], "seed"),
+    ], ids=["duration-0", "duration-negative", "duration-nan",
+            "duration-inf", "seed-negative"])
+    def test_a_run_that_cannot_give_a_verdict_is_refused(self, argv, named):
+        # A window that never runs would print "outcome: correct"; the
+        # others would end in numpy or float tracebacks.
+        completed = run_repro("golden", *argv)
+        assert completed.returncode != 0
+        assert completed.stdout == ""
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
+
 
 class TestFig3AndCampaign:
     def test_fig3_prints_the_figure_and_saves_records(self, capsys, tmp_path):
@@ -669,17 +687,26 @@ class TestErrorFunnel:
          "{dir}"],
         ["run", "fig3", "--tests", "1", "--duration", "1", "--output",
          "{dir}"],
+        ["fig3", "--tests", "1", "--duration", "1", "--output", "{dir}"],
+        ["campaign", "--tests", "1", "--duration", "1", "--output", "{dir}"],
+        # Nothing listens on the discard port: the directory must be
+        # refused before the coordinator is contacted.
+        ["submit", "http://127.0.0.1:9", "fig3", "--tests", "1",
+         "--duration", "1", "--wait", "--output", "{dir}"],
     ], ids=["analyze", "report", "compare", "seooc", "watch", "merge",
-            "run-resume", "run-output"])
+            "run-resume", "run-output", "fig3-output", "campaign-output",
+            "submit-output"])
     def test_a_directory_for_a_record_file_is_one_error_line(self, tmp_path,
                                                              argv):
+        # Refused before any work starts: no campaign report, no dashboard
+        # URL, no wait for a fleet.
         directory = tmp_path / "records"
         directory.mkdir()
         completed = run_repro(*(arg.format(dir=directory, tmp=tmp_path)
                                 for arg in argv))
         assert completed.returncode == 1
-        assert "Traceback" not in completed.stderr
-        errors = [line for line in completed.stderr.splitlines()
-                  if line.startswith("error: ")]
-        assert len(errors) == 1 and str(directory) in errors[0]
+        assert completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(directory) in lines[0]
         assert not (tmp_path / "merged.jsonl").exists()

@@ -23,7 +23,7 @@ from repro.core.plan import (
 )
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import EveryNCalls, ProbabilisticTrigger
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ReproError
 
 
 class TestIntensityLevels:
@@ -181,6 +181,16 @@ class TestCampaign:
         assert golden.handler_calls["arch_handle_trap"] > 0
         assert golden.handler_calls["irqchip_handle_irq"] > 0
         assert golden.target_cell_lines > 0
+
+    def test_golden_run_refuses_a_run_without_a_verdict(self):
+        campaign = Campaign(self.small_plan(1))
+        built = []
+        campaign.sut_factory = built.append
+        with pytest.raises(ReproError, match="duration"):
+            campaign.golden_run(duration=0)
+        with pytest.raises(ReproError, match="seed"):
+            campaign.golden_run(duration=1.0, seed=-1)
+        assert built == []          # refused before any SUT was built
 
     def test_campaign_result_filters_and_records(self):
         result = Campaign(self.small_plan()).run()

@@ -1,13 +1,11 @@
 """Snapshot/restore of the Jailhouse system under test.
 
-The engine's pooling relies on two properties proven here: a restore brings
-the *entire* deployment (board RAM, CPU/GIC/timer state, hypervisor cell
-registry, guest kernel state, RNG streams) back to the captured instant, and
-an experiment run against a restored SUT produces exactly the outcome a
-cold-booted SUT produces.
+The engine's prefix forks rely on two properties proven here: a restore
+brings the *entire* deployment (board RAM, CPU/GIC/timer state, hypervisor
+cell registry, guest kernel state, RNG streams) back to the captured
+instant, and an experiment run against a restored SUT produces exactly the
+outcome a cold-booted SUT produces.
 """
-
-import pytest
 
 from repro.core.experiment import (
     Experiment,
@@ -16,11 +14,9 @@ from repro.core.experiment import (
     park_provoking_spec,
 )
 from repro.core.faultmodels import SingleBitFlip
-from repro.core.plan import paper_figure3_plan
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.core.targets import InjectionTarget
 from repro.core.triggers import EveryNCalls
-from repro.errors import CampaignError
 
 
 def result_fingerprint(result):
@@ -84,11 +80,6 @@ class TestSnapshotRestore:
         management = sut.perform_cell_lifecycle()
         assert management.create_succeeded and management.start_succeeded
 
-    def test_reset_for_seed_requires_pooling(self):
-        sut = JailhouseSUT(SutConfig(seed=0))
-        with pytest.raises(CampaignError):
-            sut.reset_for_seed(1)
-
 
 def spec_with_seed(seed):
     return ExperimentSpec(
@@ -102,49 +93,42 @@ def spec_with_seed(seed):
     )
 
 
+def forked_result(spec, sut, snapshot):
+    """Run ``spec``'s suffix on ``sut`` forked from its prefix ``snapshot``."""
+    experiment = Experiment(spec)
+    sut.fork_from_snapshot(snapshot)
+    try:
+        return experiment.run_from_snapshot(sut)
+    finally:
+        sut.teardown()
+
+
+def prefix_snapshot(spec):
+    """A fresh SUT for ``spec`` and its snapshot at the injection point."""
+    sut = JailhouseSUT(SutConfig(seed=spec.seed))
+    Experiment(spec).run_prefix(sut)
+    return sut, sut.snapshot()
+
+
 class TestRestoredVsColdBootOutcomes:
-    def test_pooled_sut_reproduces_cold_boot_outcomes(self):
-        """The issue's parity requirement: restored == cold-booted, exactly."""
-        specs = [spec_with_seed(seed) for seed in (0, 1, 2)]
-        cold = [Experiment(spec).run() for spec in specs]
-
-        pooled_sut = None
-
-        def pooled_factory(seed):
-            nonlocal pooled_sut
-            if pooled_sut is None:
-                pooled_sut = JailhouseSUT(SutConfig(seed=seed))
-                pooled_sut.enable_snapshot_pooling()
-            elif pooled_sut.config.seed != seed:
-                pooled_sut.reset_for_seed(seed)
-            return pooled_sut
-
-        pooled = [Experiment(spec, sut_factory=pooled_factory).run()
-                  for spec in specs]
-        for cold_result, pooled_result in zip(cold, pooled):
-            assert result_fingerprint(cold_result) == result_fingerprint(pooled_result)
-
-        # Re-running an already-booted seed takes the boot-snapshot path.
-        again = Experiment(specs[-1], sut_factory=pooled_factory).run()
-        assert result_fingerprint(again) == result_fingerprint(cold[-1])
+    def test_forked_sut_reproduces_cold_boot_outcomes(self):
+        """The parity requirement: forked == cold-booted, exactly."""
+        for spec in (spec_with_seed(seed) for seed in (0, 1, 2)):
+            cold = Experiment(spec).run()
+            sut, snapshot = prefix_snapshot(spec)
+            first = forked_result(spec, sut, snapshot)
+            # A second fork rewinds over the first one's end state.
+            again = forked_result(spec, sut, snapshot)
+            assert result_fingerprint(first) == result_fingerprint(cold)
+            assert result_fingerprint(again) == result_fingerprint(cold)
 
     def test_parity_survives_a_cpu_park(self):
         spec = park_provoking_spec(seed=5, duration=8.0)
         cold = Experiment(spec).run()
-
-        sut = None
-
-        def factory(seed):
-            nonlocal sut
-            if sut is None:
-                sut = JailhouseSUT(SutConfig(seed=seed))
-                sut.enable_snapshot_pooling()
-            elif sut.config.seed != seed:
-                sut.reset_for_seed(seed)
-            return sut
-
-        first = Experiment(spec, sut_factory=factory).run()
-        # Second run restores over the parked/failed end state.
-        second = Experiment(spec, sut_factory=factory).run()
+        assert cold.extras["park_observed"]
+        sut, snapshot = prefix_snapshot(spec)
+        first = forked_result(spec, sut, snapshot)
+        # The second fork restores over the parked/failed end state.
+        second = forked_result(spec, sut, snapshot)
         assert result_fingerprint(first) == result_fingerprint(cold)
         assert result_fingerprint(second) == result_fingerprint(cold)

@@ -20,7 +20,7 @@ from repro.core.experiment import (
     SingleBitFlip,
     default_sut_factory,
 )
-from repro.core.plan import TestPlan, paper_figure3_plan
+from repro.core.plan import paper_figure3_plan
 from repro.core.policy import RunPolicy
 from repro.core.sut import JailhouseSUT, SutConfig
 from repro.core.targets import InjectionTarget
@@ -120,7 +120,6 @@ class TestPrefixKey:
         assert (self.spec(scenario=Scenario.PARK_AND_RECOVER).prefix_key()
                 != base.prefix_key())
         assert self.spec(settle_time=2.5).prefix_key() != base.prefix_key()
-        assert base.prefix_key(sut="bao-like") != base.prefix_key()
 
     def test_lifecycle_prefix_ignores_settle_and_observe(self):
         # The lifecycle scenarios arm right after setup: their prefix is the
@@ -175,15 +174,6 @@ class TestSchedulerFamilies:
         assert sorted(item.index for item in flattened) == [
             item.index for item in queue
         ]
-
-    def test_cold_boot_specs_get_singleton_families(self):
-        # The grid compiles combo-major, so the queue interleaves the two
-        # seed families; marking item 0 cold_boot splits it out alone.
-        queue = self.queue()
-        queue[0].spec.cold_boot = True
-        families = group_by_prefix(queue)
-        assert [len(family) for family in families] == [1, 3, 2]
-        assert len(families[0]) == 1 and families[0].items[0].index == 0
 
     def test_shard_families_never_splits_a_family_by_default(self):
         families = group_by_prefix(self.queue())
@@ -289,29 +279,6 @@ class TestSharedPrefixParity:
             "hits": 2, "misses": 2, "uncached": 0
         }
 
-    def test_cold_boot_opt_out_bypasses_the_cache(self, cold_reference):
-        specs = []
-        for index in range(4):
-            specs.append(ExperimentSpec(
-                name=f"optout-{index}",
-                target=InjectionTarget.nonroot_cpu_trap(),
-                trigger=EveryNCalls(80),
-                fault_model=SingleBitFlip(),
-                scenario=Scenario.STEADY_STATE,
-                duration=2.0,
-                seed=11,                 # all four share one prefix...
-                intensity="custom" if index != 1 else "optout",
-                cold_boot=(index == 1),  # ...but one opts out entirely
-            ))
-        plan = TestPlan(name="optout", specs=specs)
-        cached = CampaignEngine(plan, jobs=1).run()
-        assert records_of(cached) == records_of(cold_reference(plan))
-        by_name = {result.spec_name: result for result in cached.results}
-        assert by_name["optout-1"].prefix_cache_hit is None
-        assert cached.prefix_cache_stats() == {
-            "hits": 2, "misses": 1, "uncached": 1
-        }
-
     def test_baseline_sut_is_served_by_the_cache(self, cold_reference):
         # The baseline SUTs subclass JailhouseSUT, so they inherit the
         # snapshot/fork protocol and fast-forward like the real deployment.
@@ -325,9 +292,8 @@ class TestSharedPrefixParity:
 
     def test_non_snapshot_sut_bypasses_the_cache(self, cold_reference):
         class NoSnapshotSut(JailhouseSUT):
-            """No pooling or snapshot/fork protocol: every member runs cold."""
+            """No snapshot/fork protocol: every member runs cold."""
 
-            enable_snapshot_pooling = None
             snapshot = None
             fork_from_snapshot = None
 
@@ -408,9 +374,9 @@ class TestFastTriggerGrid:
             suffixes[self.spec.identity()] += 1
             return run_from_snapshot(self, sut, **kwargs)
 
-        def counting_fork(self, snapshot, *, seed=None):
-            forks[seed] += 1
-            return fork_from_snapshot(self, snapshot, seed=seed)
+        def counting_fork(self, snapshot):
+            forks[self.config.seed] += 1
+            return fork_from_snapshot(self, snapshot)
 
         monkeypatch.setattr(Experiment, "run_from_snapshot", counting_suffix)
         monkeypatch.setattr(JailhouseSUT, "fork_from_snapshot", counting_fork)
@@ -422,3 +388,28 @@ class TestFastTriggerGrid:
         assert suffixes == Counter(spec.identity() for spec in plan)
         assert forks == Counter({family.items[0].spec.seed: len(family) - 1
                                  for family in families})
+
+
+class TestOneSutPerFamily:
+    """The first member of every prefix family builds a fresh SUT."""
+
+    @pytest.mark.parametrize("plan, builds", [
+        # One spec per seed: every family is a singleton.
+        (paper_figure3_plan(num_tests=3, duration=1.0), 3),
+        # Two seed families of four members each.
+        (fast_trigger_config(tests=2, duration=1.0).compile(), 2),
+    ], ids=["fig3", "fast-trigger-grid"])
+    def test_a_serial_campaign_builds_one_sut_per_family(self, monkeypatch,
+                                                         plan, builds):
+        built = []
+        init = JailhouseSUT.__init__
+
+        def counting_init(self, config=None):
+            built.append(config.seed)
+            init(self, config)
+
+        monkeypatch.setattr(JailhouseSUT, "__init__", counting_init)
+        CampaignEngine(plan, jobs=1).run()
+        families = group_by_prefix(build_work_queue(plan))
+        assert len(families) == builds
+        assert built == [family.items[0].spec.seed for family in families]

@@ -65,20 +65,6 @@ class TestFamilySharding:
         assert len(shards) == 1
         assert [item.index for item in shards[0].items] == list(range(6))
 
-    def test_all_cold_boot_specs_become_singleton_shards(self):
-        plan = _one_family_plan(5)
-        plan.specs = [dataclasses.replace(spec, cold_boot=True)
-                      for spec in plan.specs]
-        queue = build_work_queue(plan)
-        families = group_by_prefix(queue)
-        # Cold-boot opt-outs never share snapshots: one family per item.
-        assert [len(family) for family in families] == [1] * 5
-        shards = shard_families(families)
-        assert [len(shard) for shard in shards] == [1] * 5
-        covered = sorted(item.index for shard in shards
-                         for item in shard.items)
-        assert covered == list(range(5))
-
     def test_min_shards_bisects_when_families_are_scarce(self):
         queue = build_work_queue(_one_family_plan(8))
         families = group_by_prefix(queue)

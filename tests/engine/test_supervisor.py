@@ -49,9 +49,9 @@ class EventRecorder:
 class StrikingSut(JailhouseSUT):
     """The paper's deployment, asking its factory to strike at every setup.
 
-    ``setup()`` opens every experiment whether the engine reuses a pooled
-    SUT or builds a fresh one, so a fault struck there fires once per
-    experiment either way.
+    ``setup()`` opens every experiment of a fig3 plan, whose prefix
+    families are singletons that each build a fresh SUT, so a fault struck
+    there fires once per experiment.
     """
 
     def __init__(self, seed, strike):

@@ -5,8 +5,9 @@ generator's C bit generator directly instead of going through numpy's
 Python-level ``Generator`` methods. Every record depends on those draws, so
 they must equal ``Generator.random()`` and ``int(Generator.integers(low,
 high))`` exactly and leave the same ``bit_generator.state`` behind, across
-snapshot restores and the pooled SUT's re-seeding. If a numpy upgrade
-changes its bounded-integer algorithm, this is the test that fails.
+snapshot restores and generators assigned through the ``rng`` setter. If a
+numpy upgrade changes its bounded-integer algorithm, this is the test that
+fails.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sut import JailhouseSUT, SutConfig
+from repro.rng import seeded_rng
 
 #: Draw spans: the degenerate span (no draw at all), powers of two, spans
 #: near 2**32, and spans just above 2**31, which Lemire's method rejects
@@ -47,7 +49,6 @@ class TestGuestDrawParity:
     def test_guest_draws_equal_numpy_draws(self, seed, ops):
         """Property: the draw helpers replay numpy's stream exactly."""
         sut = JailhouseSUT(SutConfig(seed=seed))
-        sut.enable_snapshot_pooling()
         live = {"linux": sut.linux, "freertos": sut.freertos}
         mirror = {"linux": np.random.default_rng(seed),
                   "freertos": np.random.default_rng(seed + 1)}
@@ -72,7 +73,8 @@ class TestGuestDrawParity:
                 live[name].restore_state(guest_state)
                 mirror[name].bit_generator.state = copy.deepcopy(mirror_state)
             elif kind == "reset":
-                sut.reset_for_seed(op[1])
+                sut.linux.rng = seeded_rng(op[1])
+                sut.freertos.rng = seeded_rng(op[1] + 1)
                 mirror = {"linux": np.random.default_rng(op[1]),
                           "freertos": np.random.default_rng(op[1] + 1)}
         for name, guest in live.items():
