@@ -17,10 +17,7 @@ root so the perf trajectory is versioned alongside the code):
   per-spec cold reference (a fresh SUT and a full prefix per spec), both at
   ``jobs=1`` so the speedup is not parallelism, plus the engine's
   hit/miss counts and the parity verdict (records must be bit-identical —
-  the run aborts if they are not);
-* **snapshot** — microbenchmark of :class:`~repro.hw.memory.PhysicalMemory`
-  delta snapshots: pages copied vs. reused across a snapshot/restore cycle
-  of a booted deployment.
+  the run aborts if they are not).
 
 A ``calibration_s`` spin-loop is recorded alongside so the CI gate can
 normalise machine speed: ``--check-against BASELINE.json`` fails when the
@@ -50,7 +47,6 @@ if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
 from repro.core.config import CampaignConfig, PartRef           # noqa: E402
-from repro.core.sut import JailhouseSUT, SutConfig              # noqa: E402
 
 from _common import machine_info, time_against_cold_reference   # noqa: E402
 from bench_hotpath import calibrate                             # noqa: E402
@@ -113,52 +109,6 @@ def bench_campaign(*, seeds: int, settle: float, duration: float,
     }
 
 
-def bench_snapshot(*, cycles: int) -> dict:
-    """Dirty-page delta effectiveness on a booted deployment's memory.
-
-    The guests populate a working set in DRAM (the guest models themselves
-    exercise memory through the hypervisor, but sparsely — this stands in
-    for a loaded cell image), then each cycle dirties a handful of pages and
-    snapshots/restores the whole SUT: with delta tracking the per-cycle cost
-    is O(pages touched), and ``delta_share`` shows how many page captures
-    the shadow served without copying.
-    """
-    sut = JailhouseSUT(SutConfig(seed=7))
-    sut.setup()
-    sut.perform_cell_lifecycle()
-    sut.run(2.0)
-    memory = sut.board.memory
-    dram = sut.board.dram
-    working_set_pages = 512
-    for page in range(working_set_pages):      # a 2 MiB resident image
-        memory.write(dram.start + page * 4096, page, 4)
-    resident = memory.resident_pages()
-
-    base = sut.snapshot()                      # populate the shadow
-    memory.snapshot_pages_copied = 0
-    memory.snapshot_pages_reused = 0
-    start = time.perf_counter()
-    for cycle in range(cycles):
-        sut.run(0.1)                           # advance the deployment
-        for page in range(4):                  # dirty 4 of the 512 pages
-            memory.write(dram.start + ((cycle + page) % working_set_pages)
-                         * 4096, cycle, 4)
-        sut.snapshot()
-        sut.restore(base)
-    elapsed = time.perf_counter() - start
-    copied = memory.snapshot_pages_copied
-    reused = memory.snapshot_pages_reused
-    sut.teardown()
-    return {
-        "resident_pages": resident,
-        "cycles": cycles,
-        "snapshot_restore_per_s": cycles / elapsed if elapsed > 0 else 0.0,
-        "pages_copied": copied,
-        "pages_reused": reused,
-        "delta_share": reused / (copied + reused) if copied + reused else 0.0,
-    }
-
-
 def run_suite(smoke: bool) -> dict:
     seeds = 2 if smoke else 4
     settle = 4.0 if smoke else 8.0
@@ -167,12 +117,10 @@ def run_suite(smoke: bool) -> dict:
     # wall times, so a single noisy round on a busy CI runner must not be
     # able to fail it.
     repeats = 3
-    cycles = 50 if smoke else 200
 
     calibration = calibrate()
     campaign = bench_campaign(seeds=seeds, settle=settle, duration=duration,
                               repeats=repeats)
-    snapshot = bench_snapshot(cycles=cycles)
 
     return {
         "schema": SCHEMA,
@@ -182,7 +130,6 @@ def run_suite(smoke: bool) -> dict:
         "calibration_s": calibration,
         "metrics": {
             "campaign": campaign,
-            "snapshot": snapshot,
         },
     }
 
@@ -222,7 +169,6 @@ def check_regression(report: dict, baseline_path: Path,
 
 def render(report: dict) -> str:
     campaign = report["metrics"]["campaign"]
-    snapshot = report["metrics"]["snapshot"]
     return "\n".join([
         f"prefix fast-forward benchmark ({report['scale']}, "
         f"calibration {report['calibration_s']*1000:.1f} ms)",
@@ -238,10 +184,6 @@ def render(report: dict) -> str:
         f"({campaign['cache_hits']} hits / {campaign['cache_misses']} misses)",
         f"  speedup: {campaign['speedup']:8.2f}x  (records identical: "
         f"{campaign['records_identical']})",
-        "",
-        f"delta snapshots: {snapshot['resident_pages']} resident pages, "
-        f"{snapshot['snapshot_restore_per_s']:.0f} snapshot+restore cycles/s, "
-        f"{snapshot['delta_share']:.1%} of page captures served by reuse",
     ])
 
 

@@ -872,10 +872,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         time.sleep(args.poll)
     print(f"campaign {campaign_id} complete")
     if args.output:
-        records = client.records(campaign_id)
         count = RecordStore(args.output).replace_all(
-            ExperimentRecord.from_json(json.dumps(record, sort_keys=True))
-            for record in records)
+            client.records(campaign_id))
         print(f"saved {count} records to {args.output}")
     return 0
 

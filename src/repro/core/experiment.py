@@ -135,6 +135,18 @@ class ExperimentSpec:
             f"{self.scenario.value}, {self.duration:.0f}s, seed {self.seed}"
         )
 
+    def record_fields(self) -> Dict[str, object]:
+        """The seven result and record fields this spec fixes."""
+        return {
+            "spec_name": self.name,
+            "duration": self.duration,
+            "seed": self.seed,
+            "scenario": self.scenario.value,
+            "target": self.target.describe(),
+            "fault_model": self.fault_model.describe(),
+            "intensity": self.intensity,
+        }
+
     def identity(self) -> str:
         """Stable identity of this spec (name + seed + scenario/setup hash).
 
@@ -504,16 +516,10 @@ class Experiment:
         target_report = evidence.availability.get(evidence.target_cell or "", None)
         root_report = evidence.availability.get(evidence.root_cell or "", None)
         return ExperimentResult(
-            spec_name=spec.name,
+            **spec.record_fields(),
             outcome=classified.outcome,
             rationale=classified.rationale,
             injections=injector.injection_count,
-            duration=spec.duration,
-            seed=spec.seed,
-            scenario=spec.scenario.value,
-            target=spec.target.describe(),
-            fault_model=spec.fault_model.describe(),
-            intensity=spec.intensity,
             register_class_counts=class_counts,
             management=evidence.management,
             target_cell_lines=target_report.lines if target_report else 0,

@@ -5,13 +5,18 @@ analyzed to understand how the hypervisor reacted to injected faults". This
 module is the structured equivalent: each experiment becomes one JSON record,
 and a :class:`RecordStore` persists campaigns as JSON-Lines files that the
 analysis layer can re-load without re-running the (slow) experiments.
+
+It is the one module that maps between results, records, dicts and lines:
+one field table, derived from the record and result dataclass fields,
+drives all six conversions (``from_result``/``to_result``,
+``to_dict``/``from_dict``, ``to_json``/``from_json``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -53,28 +58,17 @@ class ExperimentRecord:
     schema_version: int = RECORD_SCHEMA_VERSION
 
     @classmethod
-    def from_result(cls, result: ExperimentResult) -> "ExperimentRecord":
-        management = result.management or ManagementEvidence()
-        return cls(
-            spec_name=result.spec_name,
-            outcome=result.outcome.value,
-            rationale=result.rationale,
-            injections=result.injections,
-            duration=result.duration,
-            seed=result.seed,
-            scenario=result.scenario,
-            target=result.target,
-            fault_model=result.fault_model,
-            intensity=result.intensity,
-            register_class_counts=dict(result.register_class_counts),
-            target_cell_lines=result.target_cell_lines,
-            root_cell_lines=result.root_cell_lines,
-            create_attempted=management.create_attempted,
-            create_succeeded=management.create_succeeded,
-            start_attempted=management.start_attempted,
-            start_succeeded=management.start_succeeded,
-            extras=dict(result.extras),
-        )
+    def from_result(cls, result: ExperimentResult, *,
+                    spec_id: Optional[str] = None) -> "ExperimentRecord":
+        """The persisted view of ``result``, with ``spec_id`` (if given)
+        stamped into ``extras`` (see :attr:`spec_id`)."""
+        values = _values(result, _SHARED)
+        values.update(_values(result.management or ManagementEvidence(),
+                              _MANAGEMENT))
+        values["outcome"] = result.outcome.value
+        if spec_id is not None:
+            values["extras"]["spec_id"] = spec_id
+        return cls(**values)
 
     @property
     def outcome_enum(self) -> Outcome:
@@ -105,41 +99,26 @@ class ExperimentRecord:
         checkpoint-internal ``spec_id`` stamp is stripped so restored results
         stay indistinguishable from freshly executed ones.
         """
-        management = ManagementEvidence(
-            create_attempted=self.create_attempted,
-            create_succeeded=self.create_succeeded,
-            start_attempted=self.start_attempted,
-            start_succeeded=self.start_succeeded,
-        )
+        values = _values(self, _SHARED)
+        values["outcome"] = self.outcome_enum
+        values["extras"].pop("spec_id", None)
         return ExperimentResult(
-            spec_name=self.spec_name,
-            outcome=self.outcome_enum,
-            rationale=self.rationale,
-            injections=self.injections,
-            duration=self.duration,
-            seed=self.seed,
-            scenario=self.scenario,
-            target=self.target,
-            fault_model=self.fault_model,
-            intensity=self.intensity,
-            register_class_counts=dict(self.register_class_counts),
-            management=management,
-            target_cell_lines=self.target_cell_lines,
-            root_cell_lines=self.root_cell_lines,
-            extras={key: value for key, value in self.extras.items()
-                    if key != "spec_id"},
-        )
+            management=ManagementEvidence(**_values(self, _MANAGEMENT)),
+            **values)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON object of the record's line, with fresh dicts."""
+        return _values(self, _NAMES)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """The record's line: :meth:`to_dict` with sorted keys."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
-        """Decode one record line.
+        """Decode one record line; see :meth:`from_dict` for its checks.
 
-        A line that is not a record object, or whose values break their
-        field's JSON type, raises :class:`AnalysisError` naming its first
-        problem.
+        A line that is not UTF-8 or not JSON raises :class:`AnalysisError`.
         """
         if not line.isascii():
             try:
@@ -153,9 +132,20 @@ class ExperimentRecord:
             # JSONDecodeError, and the integer-length limit and nesting
             # depth the decoder enforces outside it.
             raise AnalysisError(f"malformed record line: {exc}") from exc
+        return cls.from_dict(payload)
+
+    @classmethod
+    def from_dict(cls, payload: object) -> "ExperimentRecord":
+        """Build a record from the JSON object of its line.
+
+        ``payload`` is left unchanged, and the record takes its values as
+        they are, dicts included. One that is not a record object, or whose
+        values break their field's JSON type, raises :class:`AnalysisError`
+        naming its first problem.
+        """
         if not isinstance(payload, dict):
-            raise AnalysisError("record line does not contain a JSON object")
-        version = payload.pop("schema_version", None)
+            raise AnalysisError("record is not a JSON object")
+        version = payload.get("schema_version")
         if version is not None:
             if type(version) is not int:
                 raise AnalysisError(
@@ -186,8 +176,9 @@ class ExperimentRecord:
                     raise _field_error(payload)
             set_field(record, name, value)
         # Every key was a field exactly when the payload holds as many keys
-        # as the pass took from it.
-        if (len(payload) != len(_FIELDS) - defaulted
+        # as the pass took from it, besides ``schema_version``.
+        if (len(payload) - ("schema_version" in payload)
+                != len(_FIELDS) - defaulted
                 or record.outcome not in OUTCOME_BY_VALUE):
             raise _field_error(payload)
         for count in record.register_class_counts.values():
@@ -219,24 +210,46 @@ def _field_default(spec) -> Optional[Callable[[], object]]:
 
 
 #: ``(name, accepted JSON types, default factory or None if required)`` of
-#: every field a record line may carry, in field order. ``schema_version``
-#: is popped and checked before the pass, and always set to the current
-#: version.
+#: every field a record line may carry, in field order: the one table every
+#: conversion walks. ``schema_version`` is checked before the decoding pass,
+#: and always set to the current version.
 _FIELDS: Tuple[Tuple[str, Tuple[type, ...],
                      Optional[Callable[[], object]]], ...] = tuple(
     (name, _JSON_TYPES[spec.type], _field_default(spec))
     for name, spec in ExperimentRecord.__dataclass_fields__.items()
     if name != "schema_version")
 
+#: Every field name of a record line, ``schema_version`` last.
+_NAMES: Tuple[str, ...] = tuple(ExperimentRecord.__dataclass_fields__)
+
+#: The fields :class:`ExperimentResult` carries under the same name.
+_SHARED: Tuple[str, ...] = tuple(
+    name for name, _, _ in _FIELDS
+    if name in ExperimentResult.__dataclass_fields__)
+
+#: The summary flags a result holds in its :class:`ManagementEvidence`.
+_MANAGEMENT: Tuple[str, ...] = tuple(
+    name for name, _, _ in _FIELDS
+    if name not in _SHARED and name in ManagementEvidence.__dataclass_fields__)
+
+
+def _values(source: object, names: Tuple[str, ...]) -> Dict[str, object]:
+    """The attributes ``names`` of ``source``, each dict a fresh copy."""
+    values = {}
+    for name in names:
+        value = getattr(source, name)
+        values[name] = dict(value) if isinstance(value, dict) else value
+    return values
+
 
 def _field_error(payload: dict) -> AnalysisError:
-    """Name the first problem of a record object :meth:`from_json` rejected.
+    """Name the first problem of a record object :meth:`from_dict` rejected.
 
     Unknown fields come first, then missing ones, then the first value of
     the wrong type in field order, then the content rules: ``outcome`` names
     an :class:`Outcome` and ``register_class_counts`` maps to integers.
     """
-    unknown = payload.keys() - {name for name, _, _ in _FIELDS}
+    unknown = payload.keys() - set(_NAMES)
     if unknown:
         return AnalysisError(f"record has unknown fields: {sorted(unknown)}")
     missing = [name for name, _, default in _FIELDS

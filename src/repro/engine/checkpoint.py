@@ -17,20 +17,20 @@ each record's ``extras["spec_id"]``; a spec whose definition changed between
 runs hashes differently and is re-executed rather than wrongly skipped.
 Records written by other code paths (e.g. a plain ``CampaignResult.save``)
 lack the stamp; for those, matching falls back to the ``(spec_name, seed,
-scenario)`` triple cross-checked against the setup fields the record *does*
-persist (duration, target, fault model, intensity) — best-effort, but enough
-to catch a spec whose setup visibly changed. On resume the checkpoint is
-also reconciled with the plan: records superseded by changed definitions and
-orphans of renamed/removed specs are pruned, so after a successful run the
-file holds exactly one record per plan spec and downstream reporting never
+scenario)`` triple cross-checked against every record field the spec fixes
+(:meth:`ExperimentSpec.record_fields`: duration, target, fault model and
+intensity besides the triple) — best-effort, but enough to catch a spec
+whose setup visibly changed. On resume the checkpoint is also reconciled
+with the plan: records superseded by changed definitions and orphans of
+renamed/removed specs are pruned, so after a successful run the file holds
+exactly one record per plan spec and downstream reporting never
 double-counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.experiment import ExperimentResult, ExperimentSpec
 from repro.core.plan import TestPlan
@@ -100,9 +100,16 @@ class Checkpoint:
             torn_tail = True
         if torn_tail:
             self.store.replace_all(records)
+        self._reindex(records)
+        return len(records)
+
+    def _reindex(self, records: Iterable[ExperimentRecord]) -> None:
+        """Make ``records`` the whole in-memory view, indexes included."""
+        self._records = []
+        self._records_by_id = {}
+        self._records_by_triple = {}
         for record in records:
             self._remember(record)
-        return len(records)
 
     def _remember(self, record: ExperimentRecord) -> None:
         self._records.append(record)
@@ -115,9 +122,7 @@ class Checkpoint:
     def clear(self) -> None:
         """Truncate the checkpoint file (fresh, non-resumed run)."""
         self.store.replace_all([])
-        self._records.clear()
-        self._records_by_id.clear()
-        self._records_by_triple.clear()
+        self._reindex([])
 
     def prune_stale(self, plan: TestPlan) -> int:
         """Reconcile the checkpoint with the plan it is resuming.
@@ -146,15 +151,7 @@ class Checkpoint:
         ]
         removed = len(self._records) - len(kept)
         if removed:
-            self._records = kept
-            self._records_by_id = {
-                record.spec_id: record for record in kept
-                if record.spec_id is not None
-            }
-            self._records_by_triple = {
-                (record.spec_name, record.seed, record.scenario): record
-                for record in kept
-            }
+            self._reindex(kept)
             self.store.replace_all(kept)
         return removed
 
@@ -186,10 +183,8 @@ class Checkpoint:
 
     @staticmethod
     def _legacy_matches(spec: ExperimentSpec, record: ExperimentRecord) -> bool:
-        return (record.duration == spec.duration
-                and record.target == spec.target.describe()
-                and record.fault_model == spec.fault_model.describe()
-                and record.intensity == spec.intensity)
+        return all(getattr(record, name) == value
+                   for name, value in spec.record_fields().items())
 
     def result_for(self, spec: ExperimentSpec) -> Optional[ExperimentResult]:
         """Rebuild the stored result for a completed spec, if any."""
@@ -224,13 +219,13 @@ class Checkpoint:
         """Record one completed experiment and mark its spec done.
 
         Called from the parent process only (workers hand results back over
-        the pool), so commits never interleave. The record is stamped with
-        the spec identity so a later resume matches on the strong key, and
-        it is on disk when this returns (see :meth:`commit_record`).
+        the pool), so commits never interleave. The record is built by
+        :meth:`ExperimentRecord.from_result` with the spec identity stamped
+        into ``extras["spec_id"]``, so a later resume matches on the strong
+        key, and it is on disk when this returns (see :meth:`commit_record`).
         """
-        record = ExperimentRecord.from_result(result)
-        return self.commit_record(replace(
-            record, extras={**record.extras, "spec_id": spec.identity()}))
+        return self.commit_record(ExperimentRecord.from_result(
+            result, spec_id=spec.identity()))
 
     def commit_record(self, record: ExperimentRecord) -> ExperimentRecord:
         """Append one already-built record and fsync it.
@@ -254,14 +249,6 @@ class Checkpoint:
         rewritten through :meth:`~repro.core.recording.RecordStore.
         replace_all` (temp file + fsync + rename).
         """
-        self._records = list(records)
-        self._records_by_id = {
-            record.spec_id: record for record in self._records
-            if record.spec_id is not None
-        }
-        self._records_by_triple = {
-            (record.spec_name, record.seed, record.scenario): record
-            for record in self._records
-        }
+        self._reindex(records)
         self.store.replace_all(self._records)
         self.flushes += 1

@@ -49,7 +49,7 @@ from repro.engine.aggregate import EngineProgress, LiveAggregator
 from repro.engine.checkpoint import Checkpoint
 from repro.engine.quarantine import QuarantineLog, default_quarantine_path
 from repro.engine.scheduler import build_work_queue
-from repro.engine.workers import execute_pool, execute_serial, resolve_jobs
+from repro.engine.workers import execute_pool, resolve_jobs
 from repro.errors import CampaignError
 from repro.rng import seeded_rng
 
@@ -188,14 +188,9 @@ class CampaignEngine:
             if telemetry:
                 telemetry.emit(kind, **payload)
 
-        if self.jobs == 1:
-            stream = execute_serial(queue, self.sut_factory, self.classifier,
-                                    policy=self.policy, on_event=on_event)
-        else:
-            stream = execute_pool(queue, self.jobs, self.sut_factory,
-                                  self.classifier, policy=self.policy,
-                                  on_event=on_event)
-
+        stream = execute_pool(queue, self.jobs, self.sut_factory,
+                              self.classifier, policy=self.policy,
+                              on_event=on_event)
         for index, result in stream:
             slots[index] = result
             # Quarantined specs are deliberately NOT committed: their

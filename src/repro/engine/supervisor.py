@@ -83,17 +83,11 @@ def infra_result(spec, outcome: Outcome, *, attempts: int,
               if outcome is Outcome.INFRA_TIMEOUT
               else "crashed the worker process")
     return ExperimentResult(
-        spec_name=spec.name,
+        **spec.record_fields(),
         outcome=outcome,
         rationale=(f"quarantined after {attempts} attempt(s): every attempt "
                    f"{reason} (last error: {error})"),
         injections=0,
-        duration=spec.duration,
-        seed=spec.seed,
-        scenario=spec.scenario.value,
-        target=spec.target.describe(),
-        fault_model=spec.fault_model.describe(),
-        intensity=spec.intensity,
         extras={"quarantined": True,
                 "infra_attempts": attempts,
                 "infra_error": error},

@@ -11,9 +11,9 @@ ExperimentResult)`` pairs; re-assembly by index happens in the parent.
 
 Two backends drive the same executor:
 
-* :func:`execute_serial` — in-process, used for ``jobs=1`` (the default path
-  every ``Campaign.run`` caller goes through) and as the fallback when the
-  platform offers no usable multiprocessing start method;
+* :func:`execute_serial` — in-process, which :func:`execute_pool` runs for
+  ``jobs=1`` (the default path every ``Campaign.run`` caller goes through)
+  or a single item;
 * :func:`execute_pool` — the supervised worker pool
   (:class:`~repro.engine.supervisor.SupervisedPool`), whose workers each run
   an executor over the whole-family shards they receive. It prefers the

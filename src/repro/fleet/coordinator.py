@@ -55,7 +55,6 @@ from repro.fleet.lease import (
     DEFAULT_HOST_FAILURE_LIMIT,
     LeaseTable,
 )
-from repro.fleet.merge import canonical_json, record_key
 from repro.fleet.protocol import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
     DEFAULT_LEASE_TTL_S,
@@ -357,9 +356,8 @@ class FleetCoordinator:
         records: List[ExperimentRecord] = []
         for position, raw in enumerate(raw_records):
             try:
-                record = ExperimentRecord.from_json(
-                    json.dumps(raw, sort_keys=True))
-            except (AnalysisError, TypeError, ValueError) as exc:
+                record = ExperimentRecord.from_dict(raw)
+            except AnalysisError as exc:
                 raise FleetProtocolError(
                     f"submit: record {position} is malformed: {exc}"
                 ) from None
@@ -381,8 +379,7 @@ class FleetCoordinator:
                 if identity in entry.merged:
                     existing = entry.checkpoint.record_by_identity(identity)
                     if (existing is not None
-                            and canonical_json(existing)
-                            != canonical_json(record)):
+                            and existing.to_json() != record.to_json()):
                         conflicts += 1
                     else:
                         duplicates += 1

@@ -7,17 +7,18 @@ is this merge: records are keyed on spec identity (the
 ``extras["spec_id"]`` stamp the engine's checkpoint layer writes; records
 without a stamp fall back to the ``(spec_name, seed, scenario)`` triple) and
 duplicates collapse to one record — **provided they are byte-identical**
-once canonicalized. Since execution is seed-deterministic, a true duplicate
-always is; two records sharing an identity but differing in payload mean
-different campaign definitions or code versions produced them, and merging
-would silently corrupt the result — that is a hard
-:class:`~repro.errors.MergeConflictError`.
+once re-encoded by :meth:`~repro.core.recording.ExperimentRecord.to_json`,
+so whitespace or key-order differences between stores never count as
+conflicts, and real payload differences always do. Since execution is
+seed-deterministic, a true duplicate always is; two records sharing an
+identity but differing in payload mean different campaign definitions or
+code versions produced them, and merging would silently corrupt the result
+— that is a hard :class:`~repro.errors.MergeConflictError`.
 
 :func:`merge_stores` is the streaming file-level merge behind
 ``repro-fi merge`` (the manual escape hatch for collecting results from
-hosts by hand); the coordinator's in-process merge shares
-:func:`record_key` and :func:`canonical_json` so both paths agree on what
-"the same record" means.
+hosts by hand); the coordinator's in-process merge compares the same
+``to_json`` lines, so both paths agree on what "the same record" means.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ def record_key(record: ExperimentRecord) -> str:
     if spec_id is not None:
         return f"id:{spec_id}"
     return f"triple:{record.spec_name}|{record.seed}|{record.scenario}"
-
-
-def canonical_json(record: ExperimentRecord) -> str:
-    """The record's canonical serialization (sorted keys, one line).
-
-    Two records are *the same* exactly when their canonical lines match —
-    whitespace or key-order differences between stores never count as
-    conflicts, real payload differences always do.
-    """
-    return record.to_json()
 
 
 @dataclass
@@ -88,7 +79,7 @@ def merge_stores(paths: Iterable["str | Path"], output: "str | Path",
                 stats.read += 1
                 count += 1
                 key = record_key(record)
-                line = canonical_json(record)
+                line = record.to_json()
                 digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
                 previous = seen.get(key)
                 if previous is not None:

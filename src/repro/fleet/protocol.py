@@ -54,7 +54,9 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional
 
+from repro.core.recording import DECODE_ERRORS, ExperimentRecord
 from repro.errors import (
+    AnalysisError,
     FleetError,
     FleetProtocolError,
     FleetUnavailableError,
@@ -219,8 +221,13 @@ class FleetClient:
     def status(self) -> dict:
         return self._request("GET", "/fleet/status")
 
-    def records(self, campaign_id: str) -> List[dict]:
-        """The campaign's merged records, in plan order, as parsed dicts."""
+    def records(self, campaign_id: str) -> List[ExperimentRecord]:
+        """The campaign's merged records, in plan order.
+
+        Each line of the response is decoded by
+        :meth:`ExperimentRecord.from_json`; a line that is not UTF-8, not
+        JSON or not a record is a :class:`FleetProtocolError` naming it.
+        """
         url = f"{self.base_url}/fleet/records?campaign={campaign_id}"
         request = urllib.request.Request(url)
         try:
@@ -237,14 +244,14 @@ class FleetClient:
                 f"cannot reach fleet coordinator at {self.base_url}: "
                 f"{getattr(exc, 'reason', exc)}") from None
         records = []
-        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
+        for lineno, line in enumerate(
+                raw.decode("utf-8", DECODE_ERRORS).splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
-            except ValueError as exc:
+                records.append(ExperimentRecord.from_json(line))
+            except AnalysisError as exc:
                 raise FleetProtocolError(
-                    f"records response line {lineno} is not JSON: {exc}"
-                ) from None
+                    f"records response line {lineno}: {exc}") from None
         return records

@@ -37,12 +37,10 @@ steal rule can tell *slow-but-working* holders from stuck ones.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CampaignConfig
@@ -243,10 +241,8 @@ class FleetWorkerAgent:
             identity = identity_by_name.get(experiment.spec_name)
             if identity is None:          # pragma: no cover - defensive
                 continue
-            record = ExperimentRecord.from_result(experiment)
-            record = replace(
-                record, extras={**record.extras, "spec_id": identity})
-            records.append(json.loads(record.to_json()))
+            records.append(ExperimentRecord.from_result(
+                experiment, spec_id=identity).to_dict())
         return records
 
     def _submit(self, lease: dict, records: List[dict]) -> None:

@@ -18,15 +18,8 @@ take a single-page fast path that avoids the generic chunked page walk and
 its intermediate ``bytearray`` allocations. ``add_region``/``remove_region``
 invalidate the caches.
 
-Snapshots are dirty-page deltas: every write marks its page dirty, and
-:meth:`PhysicalMemory.snapshot_state` copies only the pages written since the
-previous capture, sharing the immutable copies of untouched pages with the
-earlier snapshots. :meth:`PhysicalMemory.restore_state` symmetrically keeps
-the live ``bytearray`` of any page whose content is unchanged. Taking and
-restoring many snapshots of the same deployment (the prefix fast-forward
-cache holds one per pre-injection prefix) therefore copies only the pages
-actually touched between captures; the bookkeeping dict walk remains
-O(resident pages), but a dict entry costs a fraction of a 4 KiB page copy.
+:meth:`PhysicalMemory.snapshot_state` copies every resident page and
+:meth:`PhysicalMemory.restore_state` rebuilds every page from the copy.
 """
 
 from __future__ import annotations
@@ -148,13 +141,10 @@ class PhysicalMemory:
         #: inside one region, or ``_UNCACHEABLE`` for boundary/unmapped pages.
         # repro: allow[snapshot-complete] -- derived page lookup cache; restore_state rebuilds it via _reindex()
         self._page_cache: Dict[int, Optional[Tuple[MemoryRegion, Optional["MmioHandler"], int]]] = {}
-        #: Pages written since the last snapshot/restore capture point.
-        self._dirty: set = set()
-        #: Immutable copies of each resident page as of the last capture;
-        #: shared (by reference) with every snapshot that saw that content.
-        self._shadow: Dict[int, bytes] = {}
-        #: Delta-snapshot effectiveness counters (cumulative).
+        #: Pages copied by snapshots and restores (cumulative).
         self.snapshot_pages_copied = 0
+        #: Pages a snapshot or restore shared instead of copying: always 0,
+        #: since every page is copied; ``perfbench/tracer.py`` reads it.
         self.snapshot_pages_reused = 0
         if regions:
             for region in regions:
@@ -208,10 +198,8 @@ class PhysicalMemory:
                         lo = max(region.start, page_start) - page_start
                         hi = min(region.end, page_end) - page_start
                         stored[lo:hi] = bytes(hi - lo)
-                        self._dirty.add(page)
                     continue
             self._pages.pop(page, None)
-            self._dirty.discard(page)
         self._reindex()
 
     @property
@@ -332,7 +320,6 @@ class PhysicalMemory:
                 page[offset:offset + size] = int(value).to_bytes(
                     size, "little", signed=False
                 )
-                self._dirty.add(page_index)
                 return
         region = self._check(address, size, AccessType.WRITE)
         handler = self._mmio_handlers.get(region.name)
@@ -414,70 +401,28 @@ class PhysicalMemory:
             chunk = min(size - offset, PAGE_SIZE - page_offset)
             page = self._pages.setdefault(page_index, bytearray(PAGE_SIZE))
             page[page_offset:page_offset + chunk] = data[offset:offset + chunk]
-            self._dirty.add(page_index)
             offset += chunk
 
     # -- snapshot / restore --------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Capture regions, handler bindings and page contents.
-
-        A dirty-page delta against the previous capture: pages untouched since
-        the last ``snapshot_state``/``restore_state`` reuse the immutable
-        ``bytes`` copy already held by earlier snapshots instead of being
-        re-copied, so a steady stream of snapshots of a mostly-idle deployment
-        is cheap. The returned mapping is self-contained — consumers see a
-        full page image either way.
-        """
-        shadow = self._shadow
-        dirty = self._dirty
-        captured: Dict[int, bytes] = {}
-        for index, page in self._pages.items():
-            previous = shadow.get(index)
-            if previous is None or index in dirty:
-                captured[index] = bytes(page)
-                self.snapshot_pages_copied += 1
-            else:
-                captured[index] = previous
-                self.snapshot_pages_reused += 1
-        # The capture is the new shadow: stale entries for dropped pages are
-        # pruned, and the dirty set starts over from this point.
-        self._shadow = dict(captured)
-        dirty.clear()
+        """Capture regions, handler bindings and a copy of every page."""
+        pages = {index: bytes(page) for index, page in self._pages.items()}
+        self.snapshot_pages_copied += len(pages)
         return {
             "regions": tuple(self._regions),
             "handlers": dict(self._mmio_handlers),
-            "pages": captured,
+            "pages": pages,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore a prior :meth:`snapshot_state` in place.
-
-        The delta counterpart of :meth:`snapshot_state`: a resident page
-        whose content provably matches the snapshot (clean since the last
-        capture and backed by the same shared ``bytes`` object) keeps its
-        live ``bytearray``; only pages that actually diverged are rebuilt.
-        """
+        """Restore a prior :meth:`snapshot_state` in place, rebuilding every
+        page from its copy."""
         self._regions = list(state["regions"])
         self._mmio_handlers = dict(state["handlers"])
         pages = state["pages"]
-        current_pages = self._pages
-        shadow = self._shadow
-        dirty = self._dirty
-        restored: Dict[int, bytearray] = {}
-        for index, data in pages.items():
-            live = current_pages.get(index)
-            if (live is not None and index not in dirty
-                    and shadow.get(index) is data):
-                restored[index] = live
-                self.snapshot_pages_reused += 1
-            else:
-                restored[index] = bytearray(data)
-                self.snapshot_pages_copied += 1
-        self._pages = restored
-        # Every live page now matches the snapshot image exactly.
-        self._shadow = dict(pages)
-        dirty.clear()
+        self._pages = {index: bytearray(data) for index, data in pages.items()}
+        self.snapshot_pages_copied += len(pages)
         self._reindex()
 
     # -- introspection -------------------------------------------------------------

@@ -13,7 +13,8 @@ import stat
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.experiment import ExperimentSpec
+from repro.core.experiment import ExperimentResult, ExperimentSpec
+from repro.core.outcomes import ManagementEvidence, Outcome
 from repro.core.plan import TestPlan, paper_figure3_plan
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.core.targets import InjectionTarget
@@ -138,6 +139,59 @@ class TestJsonRoundTrip:
             assert rebuilt.register_class_counts == original.register_class_counts
             # And the rebuilt result serializes back to the same record.
             assert ExperimentRecord.from_result(rebuilt) == record
+
+
+#: The summary flags of ``ManagementEvidence`` a record persists.
+MANAGEMENT_FLAGS = ("create_attempted", "create_succeeded", "start_attempted",
+                    "start_succeeded")
+
+#: Result fields no record persists: execution bookkeeping, and the
+#: management evidence whose summary flags are persisted one by one.
+NOT_PERSISTED = {"management", "wall_time", "prefix_cache_hit",
+                 "prefix_wall_time", "worker_id"}
+
+
+class TestResultConversions:
+    def test_record_and_result_fields_map_onto_each_other(self):
+        """A field added to one dataclass but not the other fails here."""
+        record_fields = set(ExperimentRecord.__dataclass_fields__)
+        result_fields = set(ExperimentResult.__dataclass_fields__)
+        shared = record_fields & result_fields
+        assert record_fields - shared == {*MANAGEMENT_FLAGS, "schema_version"}
+        assert result_fields - shared == NOT_PERSISTED
+
+    @pytest.mark.parametrize("management", [
+        None,
+        ManagementEvidence(create_attempted=True, create_succeeded=True,
+                           start_attempted=True, start_succeeded=False,
+                           create_attempts=3),
+    ], ids=["no-management", "management"])
+    def test_from_result_stamps_and_to_result_strips_the_spec_id(
+            self, management):
+        result = ExperimentResult(
+            spec_name="s", outcome=Outcome.CPU_PARK, rationale="why",
+            injections=4, duration=2.5, seed=7, scenario="lifecycle_under_fault",
+            target="arch_handle_trap", fault_model="single bit flip",
+            intensity="high", register_class_counts={"gpr": 3, "pc": 1},
+            management=management, target_cell_lines=11, root_cell_lines=12,
+            extras={"lifecycle_attempts": 2}, wall_time=1.5)
+        record = ExperimentRecord.from_result(result, spec_id="abc123")
+        assert record.spec_id == "abc123"
+        assert record.extras == {"lifecycle_attempts": 2, "spec_id": "abc123"}
+        assert result.extras == {"lifecycle_attempts": 2}
+
+        rebuilt = record.to_result()
+        for name in (set(ExperimentResult.__dataclass_fields__)
+                     - NOT_PERSISTED):
+            assert getattr(rebuilt, name) == getattr(result, name), name
+        assert rebuilt.outcome is Outcome.CPU_PARK
+        for name in MANAGEMENT_FLAGS:
+            assert (getattr(rebuilt.management, name)
+                    == getattr(result.management or ManagementEvidence(),
+                               name)), name
+        # The rebuilt result holds its own dicts, not the record's.
+        assert rebuilt.extras is not record.extras
+        assert rebuilt.register_class_counts is not record.register_class_counts
 
 
 class TestSaveCreatesDirectories:

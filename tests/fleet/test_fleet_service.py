@@ -82,8 +82,7 @@ class TestEndToEnd:
 
         # The HTTP records view is the same plan-order stream.
         serial = list(RecordStore(serial_checkpoint).iter_records())
-        assert [r["spec_name"] for r in records] == [
-            r.spec_name for r in serial]
+        assert records == serial
 
         assert status["state"] == "done"
         (campaign,) = status["campaigns"]

@@ -6,6 +6,7 @@ re-execution means a true duplicate is byte-identical, so anything else is
 mixed code versions or configs and must never merge silently.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from repro.core.campaign import Campaign
 from repro.core.plan import paper_figure3_plan
 from repro.core.recording import ExperimentRecord, RecordStore
 from repro.errors import MergeConflictError
-from repro.fleet.merge import canonical_json, merge_stores, record_key
+from repro.fleet.merge import merge_stores, record_key
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +42,14 @@ class TestKeys:
         assert record_key(record) == (
             f"triple:{record.spec_name}|{record.seed}|{record.scenario}")
 
-    def test_canonical_json_ignores_formatting_not_payload(self, records):
+    def test_to_json_ignores_formatting_not_payload(self, records):
         record = records[0]
-        assert canonical_json(record) == canonical_json(replace(record))
-        assert canonical_json(record) != canonical_json(
-            replace(record, duration=record.duration + 1.0))
+        line = record.to_json()
+        reordered = dict(reversed(list(record.to_dict().items())))
+        reformatted = json.dumps(reordered, indent=2)
+        assert ExperimentRecord.from_json(reformatted).to_json() == line
+        assert replace(record).to_json() == line
+        assert replace(record, duration=record.duration + 1.0).to_json() != line
 
 
 class TestMerge:

@@ -9,8 +9,10 @@ rejections are :class:`FleetError`, and only transport failures are
 
 import json
 import socket
+import threading
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -124,6 +126,45 @@ class TestWire:
     def test_records_for_unknown_campaign_is_a_404(self, server):
         with pytest.raises(FleetError, match="404|unknown campaign"):
             FleetClient(server.url).records("c999-nope")
+
+
+class _FixedBody(BaseHTTPRequestHandler):
+    """Answers every GET with 200 and the class's ``body``."""
+
+    body = b""
+
+    def do_GET(self):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRecordsResponse:
+    @pytest.mark.parametrize("body, problem", [
+        (b"\xff\xfe\n", "record line is not valid UTF-8"),
+        (b"not json\n", "malformed record line"),
+        (b'{"spec_name": "x"}\n', "record is missing fields"),
+    ], ids=["not-utf8", "not-json", "not-a-record"])
+    def test_a_bad_line_is_a_protocol_error_naming_it(self, body, problem):
+        handler = type("Handler", (_FixedBody,), {"body": body})
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = FleetClient(f"http://127.0.0.1:{stub.server_port}",
+                                 timeout_s=5)
+            with pytest.raises(FleetProtocolError,
+                               match=f"^records response line 1: {problem}"):
+                client.records("c001-any")
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestTransport:

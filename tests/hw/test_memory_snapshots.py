@@ -1,10 +1,7 @@
-"""Dirty-page delta snapshots of :class:`PhysicalMemory`.
+"""Snapshots of :class:`PhysicalMemory`.
 
-Correctness contract: a snapshot must always read back as a full page image
-and a restore must always reproduce it exactly, no matter how snapshots and
-writes interleave. Efficiency contract: pages untouched between captures are
-shared (the same immutable ``bytes`` object) instead of re-copied, and
-restores keep the live ``bytearray`` of provably unchanged pages.
+A snapshot must always read back as a full page image and a restore must
+always reproduce it exactly, no matter how snapshots and writes interleave.
 """
 
 import pytest
@@ -26,7 +23,7 @@ def make_memory() -> PhysicalMemory:
     ])
 
 
-class TestDeltaCorrectness:
+class TestSnapshotCorrectness:
     def test_snapshot_restore_round_trip(self):
         memory = make_memory()
         for page in range(8):
@@ -62,7 +59,7 @@ class TestDeltaCorrectness:
         assert memory.read(BASE, 4) == 0xAAAA
         assert memory.read(BASE + 4096, 4) == 0
 
-    def test_write_bytes_marks_pages_dirty(self):
+    def test_write_bytes_across_pages_is_restored(self):
         memory = make_memory()
         memory.write_bytes(BASE + 4090, bytes(range(16)))   # straddles a page
         state = memory.snapshot_state()
@@ -102,47 +99,6 @@ class TestDeltaCorrectness:
         page = state["pages"][BASE >> 12]
         assert int.from_bytes(page[0:4], "little") == 0x1234
 
-
-class TestDeltaEfficiency:
-    def test_clean_pages_are_shared_between_snapshots(self):
-        memory = make_memory()
-        for page in range(32):
-            memory.write(BASE + page * 4096, page + 1, 4)
-        first = memory.snapshot_state()
-        memory.write(BASE, 0xFFFF, 4)        # dirty exactly one page
-        second = memory.snapshot_state()
-        shared = sum(
-            1 for index in first["pages"]
-            if first["pages"][index] is second["pages"].get(index)
-        )
-        assert shared == 31                  # all but the dirtied page
-        assert first["pages"][BASE >> 12] is not second["pages"][BASE >> 12]
-
-    def test_copy_counters_reflect_the_delta(self):
-        memory = make_memory()
-        for page in range(16):
-            memory.write(BASE + page * 4096, page, 4)
-        memory.snapshot_state()
-        memory.snapshot_pages_copied = 0
-        memory.snapshot_pages_reused = 0
-        memory.write(BASE + 4096, 7, 4)
-        memory.snapshot_state()
-        assert memory.snapshot_pages_copied == 1
-        assert memory.snapshot_pages_reused == 15
-
-    def test_restore_keeps_unchanged_live_pages(self):
-        memory = make_memory()
-        for page in range(8):
-            memory.write(BASE + page * 4096, page, 4)
-        state = memory.snapshot_state()
-        live_before = {index: page for index, page in memory._pages.items()}
-        memory.write(BASE, 0xEE, 4)          # dirty page 0 only
-        memory.restore_state(state)
-        kept = sum(1 for index, page in memory._pages.items()
-                   if live_before[index] is page)
-        assert kept == 7                     # page 0 was rebuilt, rest kept
-        assert memory.read(BASE, 4) == 0
-
     def test_permissions_still_enforced_after_restore(self):
         memory = make_memory()
         memory.write(BASE, 1, 4)
@@ -150,3 +106,18 @@ class TestDeltaEfficiency:
         memory.restore_state(state)
         with pytest.raises(MemoryAccessError):
             memory.fetch(0x100, 4)           # sram is RW, not executable
+
+
+class TestSnapshotCounters:
+    def test_copy_counter_counts_every_page(self):
+        memory = make_memory()
+        for page in range(16):
+            memory.write(BASE + page * 4096, page, 4)
+        state = memory.snapshot_state()
+        assert memory.snapshot_pages_copied == 16
+        memory.write(BASE + 4096, 7, 4)
+        memory.snapshot_state()
+        assert memory.snapshot_pages_copied == 32
+        memory.restore_state(state)
+        assert memory.snapshot_pages_copied == 48
+        assert memory.snapshot_pages_reused == 0

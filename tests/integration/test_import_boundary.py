@@ -101,7 +101,8 @@ class TestImportBoundary:
 class TestWithoutNumpy:
     def test_read_side_commands_still_work(self, stores, tmp_path):
         for argv in (["analyze", stores[0]], ["report", stores[0]],
-                     ["compare", *stores], ["list"]):
+                     ["compare", *stores], ["list"],
+                     ["merge", *stores, "-o", "merged.jsonl"]):
             code, _, err = probe(tmp_path, *argv, block_numpy=True)
             assert code == 0, (argv, err)
 

@@ -7,9 +7,11 @@ bytes that are not UTF-8, reading it answers with a typed ``ReproError``
 ``KeyError`` or ``UnicodeDecodeError`` traceback.
 """
 
+import dataclasses
 import json
 from dataclasses import MISSING
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.streaming import analyze_records
@@ -176,3 +178,38 @@ class TestDecoderMatchesConstructor:
         assert record.to_json() == reference.to_json() == again.to_json()
         analyze_records([record]).to_dict()
         record.to_result()
+
+
+class TestCodecMatchesReferences:
+    """The field-table conversions, pinned to reference encoders."""
+
+    @given(payload=typed_record_objects())
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_is_the_asdict_encoding(self, payload):
+        """Property: ``to_json`` writes the bytes that ``asdict`` plus
+        ``json.dumps`` wrote."""
+        record = ExperimentRecord.from_json(json.dumps(payload))
+        assert record.to_json() == json.dumps(dataclasses.asdict(record),
+                                              sort_keys=True)
+
+    @given(payload=typed_record_objects() | record_objects() | json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_from_dict_is_from_json_of_the_encoded_object(self, payload):
+        """Property: ``from_dict(payload)`` leaves ``payload`` unchanged and
+        gives the record, or the error class and message, that
+        ``from_json(json.dumps(payload))`` gives."""
+        before = repr(payload)
+        try:
+            expected = ExperimentRecord.from_json(json.dumps(payload))
+        except ReproError as exc:
+            with pytest.raises(ReproError) as raised:
+                ExperimentRecord.from_dict(payload)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+        else:
+            record = ExperimentRecord.from_dict(payload)
+            assert record.to_json() == expected.to_json()
+            for name in ExperimentRecord.__dataclass_fields__:
+                assert (type(getattr(record, name))
+                        is type(getattr(expected, name)))
+        assert repr(payload) == before
