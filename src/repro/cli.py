@@ -163,6 +163,24 @@ def _refuse_directories(*paths: Optional[str]) -> None:
             raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
 
 
+def _port(text: str) -> int:
+    """argparse type of a TCP port: an integer in 0-65535 (0 = ephemeral)."""
+    if not text.isdecimal() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"invalid port {text!r}: not an integer in 0-65535")
+    return int(text)
+
+
+def _coordinator_url(text: str) -> str:
+    """argparse type of a fleet coordinator URL, checked by FleetClient."""
+    from repro.fleet.protocol import FleetClient
+    try:
+        FleetClient(text)
+    except FleetError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _save_records(result, output: Optional[str]) -> None:
     if output:
         count = result.save(output)
@@ -1011,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "campaign start/end, per-experiment "
                                   "timing with prefix/post-injection "
                                   "split, checkpoint flushes")
-        command.add_argument("--watch", nargs="?", const=0, type=int,
+        command.add_argument("--watch", nargs="?", const=0, type=_port,
                              default=None, metavar="PORT",
                              help="serve a live dashboard while the "
                                   "campaign runs: / (HTML), /metrics.json, "
@@ -1132,7 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("records",
                        help="path to the .jsonl record file to tail "
                             "(may not exist yet)")
-    watch.add_argument("--port", type=int, default=0,
+    watch.add_argument("--port", type=_port, default=0,
                        help="HTTP port (default: ephemeral, printed on "
                             "stderr)")
     watch.add_argument("--watch-host", metavar="ADDR", default=None,
@@ -1182,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "only; bind 0.0.0.0 to accept workers from "
                             "other machines — the protocol has no auth, "
                             "so only on trusted networks)")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=_port, default=0,
                        help="HTTP port (default: ephemeral, printed on "
                             "stderr)")
     serve.add_argument("--state-dir", default="fleet-state", metavar="DIR",
@@ -1234,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write fleet telemetry events (host_joined, "
                             "lease_granted, lease_expired, host_lost, "
                             "shard_stolen, result_merged) to PATH")
-    serve.add_argument("--watch", nargs="?", const=0, type=int,
+    serve.add_argument("--watch", nargs="?", const=0, type=_port,
                        default=None, metavar="PORT",
                        help="serve the live dashboard (with a fleet card) "
                             "next to the coordinator")
@@ -1246,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet-worker",
         help="run one worker agent: join a coordinator, lease shards, run "
              "them through the campaign engine, submit the records back")
-    fleet_worker.add_argument("url",
+    fleet_worker.add_argument("url", type=_coordinator_url,
                               help="coordinator URL, e.g. "
                                    "http://127.0.0.1:8300")
     fleet_worker.add_argument("--name", default=None,
@@ -1291,7 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit",
         help="submit a campaign config to a running fleet coordinator")
-    submit.add_argument("url", help="coordinator URL")
+    submit.add_argument("url", type=_coordinator_url, help="coordinator URL")
     submit.add_argument("config",
                         help="path to a campaign config (.toml/.json) or a "
                              "catalog name (see 'repro-fi list')")
@@ -1314,7 +1332,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_status = sub.add_parser(
         "fleet-status",
         help="one-shot status of a running fleet coordinator")
-    fleet_status.add_argument("url", help="coordinator URL")
+    fleet_status.add_argument("url", type=_coordinator_url,
+                              help="coordinator URL")
     fleet_status.add_argument("--format", choices=["text", "json"],
                               default="text")
     fleet_status.set_defaults(func=cmd_fleet_status)

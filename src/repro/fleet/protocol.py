@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import socket
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Dict, List, Optional
 
@@ -122,6 +123,16 @@ class FleetClient:
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 10.0) -> None:
+        # Checked here, not on the first request: urllib would raise a bare
+        # ValueError for a URL it cannot parse or has no handler for.
+        try:
+            parts = urllib.parse.urlsplit(base_url)
+            parts.port  # raises unless the port is an integer in 0-65535
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError("expected http(s)://HOST[:PORT]")
+        except ValueError as exc:
+            raise FleetError(
+                f"bad coordinator URL {base_url!r}: {exc}") from None
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
 

@@ -31,7 +31,6 @@ _TASK_RUNNING = TaskState.RUNNING
 _BLOCKED = TaskState.BLOCKED
 _SUSPENDED = TaskState.SUSPENDED
 _DELETED = TaskState.DELETED
-_COMPUTE = EffectKind.COMPUTE
 
 
 @dataclass
@@ -69,8 +68,6 @@ class FreeRTOSKernel(GuestOS):
         self.tick_count = 0
         self.idle_ticks = 0
         self.context_switches = 0
-        self.float_accumulator = 0.0
-        self.int_accumulator = 0
         self._last_status_print = 0.0
 
     # -- task and queue management -----------------------------------------------------
@@ -163,22 +160,12 @@ class FreeRTOSKernel(GuestOS):
                         f"{task.state.value}"
                     )
                 task.state = _TASK_RUNNING
-                task.last_started = now
                 task.run_count += 1
                 effects = task.body(task, now)
                 task.state = _BLOCKED
                 task.next_release = now + task.period
                 for effect in effects:
-                    # The 17 arithmetic tasks emit a COMPUTE effect every
-                    # release; every other kind is comparatively rare.
-                    if effect.kind is _COMPUTE:
-                        value = effect.value
-                        if isinstance(value, float) and not value.is_integer():
-                            self.float_accumulator += value
-                        else:
-                            self.int_accumulator += int(value)
-                    else:
-                        apply_effect(task, effect, now)
+                    apply_effect(task, effect, now)
         else:
             self.idle_ticks += ticks
 
@@ -190,7 +177,7 @@ class FreeRTOSKernel(GuestOS):
         return events
 
     def _apply_effect(self, task: Task, effect: TaskEffect, now: float) -> None:
-        """Apply one effect other than COMPUTE (:meth:`step` folds those)."""
+        """Apply one effect a task body returned."""
         kind = effect.kind
         if kind is EffectKind.QUEUE_SEND:
             queue = self.queues.get(effect.queue_name)
@@ -302,7 +289,6 @@ class FreeRTOSKernel(GuestOS):
         state = super().snapshot_state()
         state["freertos"] = (
             self.tick_count, self.idle_ticks, self.context_switches,
-            self.float_accumulator, self.int_accumulator,
             self._last_status_print, self.ivshmem,
         )
         # The dispatch order is a list of the same Task objects restore
@@ -319,7 +305,6 @@ class FreeRTOSKernel(GuestOS):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         (self.tick_count, self.idle_ticks, self.context_switches,
-         self.float_accumulator, self.int_accumulator,
          self._last_status_print, self.ivshmem) = state["freertos"]
         self._priority_order = list(state["priority_order"])
         for task, task_state in zip(self.tasks, state["tasks"]):

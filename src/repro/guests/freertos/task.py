@@ -2,16 +2,16 @@
 
 Tasks are periodic: each has a priority, a release period, and a body that
 runs when the scheduler picks it. Bodies return :class:`TaskEffect` objects —
-console prints, LED toggles, queue operations, compute results, ivshmem
-messages — which the kernel turns into observable behaviour and, for some of
-them, into hypervisor traps.
+console prints, LED toggles, queue operations, ivshmem messages — which the
+kernel turns into observable behaviour and, for some of them, into hypervisor
+traps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Sequence
 
 from repro.errors import SchedulerError
 
@@ -34,26 +34,20 @@ class EffectKind(enum.Enum):
     QUEUE_SEND = "queue_send"
     QUEUE_RECEIVE = "queue_receive"
     IVSHMEM_SEND = "ivshmem_send"
-    COMPUTE = "compute"
 
 
 @dataclass(slots=True)
 class TaskEffect:
-    """One effect produced by a task body.
-
-    ``slots=True``: task bodies construct effects every release, making this
-    one of the most-allocated classes in the simulation.
-    """
+    """One effect produced by a task body."""
 
     kind: EffectKind
     text: str = ""
     queue_name: str = ""
     payload: Any = None
-    value: float = 0.0
 
 
-#: Signature of a task body: ``body(task, now) -> list of effects``.
-TaskBody = Callable[["Task", float], List[TaskEffect]]
+#: Signature of a task body: ``body(task, now) -> sequence of effects``.
+TaskBody = Callable[["Task", float], Sequence[TaskEffect]]
 
 
 @dataclass
@@ -68,7 +62,6 @@ class Task:
     next_release: float = 0.0
     run_count: int = 0
     missed_deadlines: int = 0
-    last_started: Optional[float] = None
     stack_words: int = 128
 
     def __post_init__(self) -> None:
@@ -93,14 +86,13 @@ class Task:
             return True
         return False
 
-    def run(self, now: float) -> List[TaskEffect]:
+    def run(self, now: float) -> Sequence[TaskEffect]:
         """Execute the task body once and block until the next period."""
         if self.state is not TaskState.READY:
             raise SchedulerError(
                 f"task {self.name!r} cannot run from state {self.state.value}"
             )
         self.state = TaskState.RUNNING
-        self.last_started = now
         self.run_count += 1
         effects = self.body(self, now)
         self.state = TaskState.BLOCKED
@@ -110,12 +102,12 @@ class Task:
     def snapshot_state(self) -> tuple:
         """Capture the scheduler-visible state of the task."""
         return (self.state, self.next_release, self.run_count,
-                self.missed_deadlines, self.last_started)
+                self.missed_deadlines)
 
     def restore_state(self, state: tuple) -> None:
         """Restore a prior :meth:`snapshot_state` in place."""
         (self.state, self.next_release, self.run_count,
-         self.missed_deadlines, self.last_started) = state
+         self.missed_deadlines) = state
 
     def suspend(self) -> None:
         self.state = TaskState.SUSPENDED

@@ -79,7 +79,6 @@ class Gic:
             cpu: [] for cpu in range(num_cpus)
         }
         self.cpu_interfaces = [GicCpuInterface(cpu, self) for cpu in range(num_cpus)]
-        self.delivered: List[PendingInterrupt] = []
         #: Flyweight cache of immutable (irq, cpu) pending instances.
         self._interned_pending: Dict[Tuple[int, int], PendingInterrupt] = {}
 
@@ -199,13 +198,11 @@ class Gic:
             if priorities.get(entry.irq, 0xFF) >= priority_mask:
                 return None
             pending.clear()
-            self.delivered.append(entry)
             return entry.irq
         pending.sort(key=lambda p: priorities.get(p.irq, 0xFF))
         for index, entry in enumerate(pending):
             if priorities.get(entry.irq, 0xFF) < priority_mask:
                 pending.pop(index)
-                self.delivered.append(entry)
                 return entry.irq
         return None
 
@@ -224,7 +221,6 @@ class Gic:
             "priorities": dict(self._priorities),
             "targets": {irq: set(cpus) for irq, cpus in self._targets.items()},
             "pending": {cpu: list(queue) for cpu, queue in self._pending.items()},
-            "delivered": list(self.delivered),
             "interfaces": [
                 (i.priority_mask, i.enabled, i.active, i.acked_count, i.eoi_count)
                 for i in self.cpu_interfaces
@@ -238,7 +234,6 @@ class Gic:
         self._priorities = dict(state["priorities"])
         self._targets = {irq: set(cpus) for irq, cpus in state["targets"].items()}
         self._pending = {cpu: list(queue) for cpu, queue in state["pending"].items()}
-        self.delivered = list(state["delivered"])
         for interface, snap in zip(self.cpu_interfaces, state["interfaces"]):
             (interface.priority_mask, interface.enabled, interface.active,
              interface.acked_count, interface.eoi_count) = snap

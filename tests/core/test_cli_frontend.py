@@ -710,3 +710,28 @@ class TestErrorFunnel:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(directory) in lines[0]
         assert not (tmp_path / "merged.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["serve", "--port", "99999", "--state-dir", "{tmp}/state"],
+         "--port"),
+        (["watch", "{tmp}/records.jsonl", "--port", "70000"], "--port"),
+        (["fig3", "--tests", "1", "--duration", "1", "--watch", "99999",
+          "--output", "{tmp}/records.jsonl"], "--watch"),
+        (["run", "fig3", "--tests", "1", "--duration", "1", "--watch", "-5",
+          "--output", "{tmp}/records.jsonl"], "--watch"),
+        (["fleet-worker", "notaurl"], "url"),
+        (["fleet-status", "http://[::1"], "url"),
+        (["submit", "http://[::1", "fig3"], "url"),
+    ], ids=["serve-port", "watch-port", "fig3-watch", "run-watch-negative",
+            "fleet-worker-url", "fleet-status-url", "submit-url"])
+    def test_a_bad_port_or_coordinator_url_is_a_usage_error(self, tmp_path,
+                                                            argv, named):
+        # Refused by the parser: no server binds, no worker joins, no
+        # campaign runs and nothing is written.
+        completed = run_repro(*(arg.format(tmp=tmp_path) for arg in argv))
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stdout == ""
+        last = completed.stderr.strip().splitlines()[-1]
+        assert f"error: argument {named}:" in last
+        assert list(tmp_path.iterdir()) == []

@@ -56,6 +56,15 @@ class TestMessages:
         with pytest.raises(FleetProtocolError, match="test: not a JSON object"):
             require_fields(data, ["host_id"], context="test")
 
+    @pytest.mark.parametrize("url", [
+        "notaurl", "ftp://127.0.0.1:9", "http://", "http://[::1",
+        "http://127.0.0.1:99999", "http://127.0.0.1:port",
+    ])
+    def test_a_url_that_cannot_reach_a_coordinator_is_refused(self, url):
+        # Regression: urllib raised a bare ValueError on the first request.
+        with pytest.raises(FleetError, match="bad coordinator URL"):
+            FleetClient(url)
+
     def test_lease_that_is_not_an_object_is_a_protocol_error(self,
                                                             monkeypatch):
         client = FleetClient("http://127.0.0.1:9")

@@ -41,6 +41,9 @@ PINS = Path(__file__).with_name("pins.json")
 #: ``tests`` is seeds per grid point, or the sample size of a random config.
 ENTRIES = {
     "fig3": ("fig3", 4, 2.0),
+    # Long enough that every FreeRTOS task prints: the first float line
+    # comes about 3 s after boot, the first integer line about 6 s.
+    "fig3-long": ("fig3", 2, 8.0),
     "high-root": ("high-root", 4, 2.0),
     "high-nonroot": ("high-nonroot", 4, 2.0),
     "park-and-recover": ("park-and-recover", 4, 2.0),

@@ -1,5 +1,7 @@
 """Tests for the FreeRTOS model: queue, tasks, scheduler, workload."""
 
+from math import sin, sqrt
+
 import pytest
 
 from repro.errors import SchedulerError
@@ -182,11 +184,23 @@ class TestPaperWorkload:
         lines = booted_sut.board.uart.lines("FreeRTOS")
         assert any("tick=" in line for line in lines)
 
-    def test_compute_tasks_accumulate_results(self, booted_sut):
-        booted_sut.run(2.0)
-        kernel = booted_sut.freertos
-        assert kernel.int_accumulator > 0
-        assert kernel.float_accumulator != 0.0
+    def test_arithmetic_tasks_print_their_values(self, booted_sut):
+        # 6.5 s reaches the floats' 50th and 100th releases and the
+        # integers' 100th: every print iteration of both kinds, in
+        # dispatch order, and no arithmetic line anywhere else.
+        booted_sut.run(6.5)
+        lines = booted_sut.board.uart.lines("FreeRTOS")
+        printed = [line for line in lines if "] fp[" in line or "] int[" in line]
+        expected = [
+            f"[float-{i}] fp[{i}] iteration {run} value "
+            f"{sin(run * 0.1 + i) * sqrt(run + 1.5):.4f}"
+            for run in (50, 100) for i in range(NUM_FLOAT_TASKS)
+        ] + [
+            f"[integer-{i}] int[{i}] iteration 100 value "
+            f"{(100 * 2654435761 + 97 * i) % 104729}"
+            for i in range(NUM_INTEGER_TASKS)
+        ]
+        assert printed == expected
 
     def test_trap_mix_includes_wfi_cp15_and_mmio(self):
         kernel = build_paper_workload(seed=7)

@@ -129,10 +129,3 @@ def test_clear_pending_per_cpu_and_global(gic: Gic):
     assert gic.has_pending(1)
     gic.clear_pending()
     assert not gic.has_pending(1)
-
-
-def test_delivered_interrupts_are_recorded(gic: Gic):
-    gic.raise_irq(33)
-    interface = gic.cpu_interfaces[0]
-    interface.end_of_interrupt(interface.acknowledge())
-    assert [entry.irq for entry in gic.delivered] == [33]
