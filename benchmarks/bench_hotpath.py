@@ -1,12 +1,9 @@
 """Hot-path performance benchmark suite.
 
-Measures the three layers the hot-path overhaul targets and writes the
-results as ``BENCH_hotpath.json`` in a stable schema so future PRs can track
-the trajectory:
+Measures two layers of the simulator and writes the results as
+``BENCH_hotpath.json`` in a stable schema so future PRs can track the
+trajectory:
 
-* **memory** — raw :class:`~repro.hw.memory.PhysicalMemory` dispatch
-  throughput (aligned 1/2/4-byte fast paths, MMIO, page-straddling generic
-  path), in accesses per second;
 * **experiment** — single steady-state experiment latency (the unit the
   paper runs thousands of);
 * **campaign** — wall-clock of a small ``jobs=1`` fig3 campaign through the
@@ -42,12 +39,6 @@ if str(REPO_SRC) not in sys.path:
 
 from repro.core.experiment import Experiment                 # noqa: E402
 from repro.core.plan import paper_figure3_plan               # noqa: E402
-from repro.hw.memory import (                                # noqa: E402
-    MemoryFlags,
-    MemoryRegion,
-    MmioHandler,
-    PhysicalMemory,
-)
 
 from _common import (                                        # noqa: E402
     machine_info,
@@ -59,22 +50,9 @@ SCHEMA = "bench_hotpath/v1"
 #: Pre-PR reference numbers (seed commit, same benchmark bodies, dev box):
 #: kept in the output for context so every run shows the trajectory.
 PRE_PR_REFERENCE = {
-    "memory_read4_per_s": 287_476,
-    "memory_write4_per_s": 260_605,
-    "memory_fetch4_per_s": 282_555,
-    "memory_mmio_read1_per_s": 481_262,
-    "memory_straddle8_per_s": 277_931,
     "single_experiment_10s_s": 0.0719,
     "campaign_8x5s_jobs1_s": 0.3177,
 }
-
-
-class _NullMmio(MmioHandler):
-    def mmio_read(self, offset: int, size: int) -> int:
-        return 0x5A
-
-    def mmio_write(self, offset: int, value: int, size: int) -> None:
-        pass
 
 
 def calibrate() -> float:
@@ -85,45 +63,6 @@ def calibrate() -> float:
         total += index & 0xFF
     assert total > 0
     return time.perf_counter() - start
-
-
-def bench_memory(accesses: int) -> dict:
-    memory = PhysicalMemory([
-        MemoryRegion("sram", 0x0, 0x10000, MemoryFlags.RWX),
-        MemoryRegion("uart0", 0x01C2_8000, 0x400,
-                     MemoryFlags.RW | MemoryFlags.IO),
-        MemoryRegion("dram", 0x4000_0000, 1 << 30, MemoryFlags.RWX),
-    ])
-    memory.attach_mmio("uart0", _NullMmio())
-    base = 0x4000_0000
-    results = {}
-
-    start = time.perf_counter()
-    for index in range(accesses):
-        memory.write(base + ((index * 4) & 0xFFFF), index & 0xFFFF_FFFF, 4)
-    results["write4_per_s"] = accesses / (time.perf_counter() - start)
-
-    start = time.perf_counter()
-    for index in range(accesses):
-        memory.read(base + ((index * 4) & 0xFFFF), 4)
-    results["read4_per_s"] = accesses / (time.perf_counter() - start)
-
-    start = time.perf_counter()
-    for index in range(accesses):
-        memory.fetch(base + ((index * 4) & 0xFFFF), 4)
-    results["fetch4_per_s"] = accesses / (time.perf_counter() - start)
-
-    start = time.perf_counter()
-    for index in range(accesses):
-        memory.read(0x01C2_8000 + (index & 0xFF), 1)
-    results["mmio_read1_per_s"] = accesses / (time.perf_counter() - start)
-
-    straddles = max(accesses // 4, 1)
-    start = time.perf_counter()
-    for index in range(straddles):
-        memory.read_bytes(base + 4093 + ((index * 8) & 0xFFF), 8)
-    results["straddle8_per_s"] = straddles / (time.perf_counter() - start)
-    return results
 
 
 def bench_experiment(duration: float, repeats: int) -> dict:
@@ -154,14 +93,12 @@ def bench_campaign(tests: int, duration: float, repeats: int) -> dict:
 
 
 def run_suite(smoke: bool) -> dict:
-    accesses = 50_000 if smoke else 200_000
     experiment_duration = 5.0 if smoke else 10.0
     campaign_tests = 4 if smoke else 8
     campaign_duration = 2.0 if smoke else 5.0
     repeats = 2 if smoke else 3
 
     calibration = calibrate()
-    memory = bench_memory(accesses)
     experiment = bench_experiment(experiment_duration, repeats)
     campaign = bench_campaign(campaign_tests, campaign_duration, repeats)
 
@@ -172,7 +109,6 @@ def run_suite(smoke: bool) -> dict:
         "machine": machine_info(),
         "calibration_s": calibration,
         "metrics": {
-            "memory": memory,
             "experiment": experiment,
             "campaign": campaign,
         },
@@ -208,31 +144,11 @@ def check_regression(report: dict, baseline_path: Path,
 
 
 def render(report: dict) -> str:
-    memory = report["metrics"]["memory"]
     experiment = report["metrics"]["experiment"]
     campaign = report["metrics"]["campaign"]
-    reference = report["pre_pr_reference"]
     lines = [
         f"hot-path benchmark ({report['scale']}, "
         f"calibration {report['calibration_s']*1000:.1f} ms)",
-        "",
-        "memory dispatch          current        pre-PR     speedup",
-    ]
-    pairs = [
-        ("read4", memory["read4_per_s"], reference["memory_read4_per_s"]),
-        ("write4", memory["write4_per_s"], reference["memory_write4_per_s"]),
-        ("fetch4", memory["fetch4_per_s"], reference["memory_fetch4_per_s"]),
-        ("mmio_read1", memory["mmio_read1_per_s"],
-         reference["memory_mmio_read1_per_s"]),
-        ("straddle8", memory["straddle8_per_s"],
-         reference["memory_straddle8_per_s"]),
-    ]
-    for name, current, previous in pairs:
-        lines.append(
-            f"  {name:<20} {current:>12,.0f}/s {previous:>9,.0f}/s "
-            f"{current / previous:>8.2f}x"
-        )
-    lines += [
         "",
         f"single experiment ({experiment['sim_duration_s']:.0f}s sim): "
         f"{experiment['wall_s']*1000:.1f} ms "

@@ -48,7 +48,7 @@ def main() -> None:
     freertos = sut.freertos
     print(f"  FreeRTOS tasks: {len(freertos.tasks)}, "
           f"context switches: {freertos.context_switches}, "
-          f"LED blinks: {sut.board.led.blink_count}")
+          f"LED blinks: {freertos.task_by_name('blink').run_count}")
     print(f"  hypervisor entries: "
           f"{ {name: stats.calls for name, stats in sut.hypervisor.handlers.stats.items()} }")
     print(f"  outcome of this golden run: no faults injected, "

@@ -86,6 +86,7 @@ import errno
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -169,6 +170,18 @@ def _port(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"invalid port {text!r}: not an integer in 0-65535")
     return int(text)
+
+
+def _seconds(text: str) -> float:
+    """argparse type of a duration: a finite number of seconds >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid duration {text!r}: not a finite number of seconds >= 0")
+    return value
 
 
 def _coordinator_url(text: str) -> str:
@@ -1160,11 +1173,12 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--total", type=int, default=0,
                        help="expected experiment count (for progress "
                             "display; watch exits once reached)")
-    watch.add_argument("--timeout", type=float, default=None,
+    watch.add_argument("--timeout", type=_seconds, default=None,
                        metavar="SECONDS",
                        help="exit after SECONDS (default: run until "
                             "interrupted or --total is reached)")
-    watch.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
+    watch.add_argument("--poll", type=_seconds, default=0.5,
+                       metavar="SECONDS",
                        help="file poll interval (default 0.5)")
     watch.set_defaults(func=cmd_watch)
 
@@ -1283,12 +1297,12 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="N")
     fleet_worker.add_argument("--max-worker-restarts", type=int,
                               default=None, metavar="N")
-    fleet_worker.add_argument("--poll", type=float, default=1.0,
+    fleet_worker.add_argument("--poll", type=_seconds, default=1.0,
                               metavar="SECONDS",
                               help="how often to re-ask for work when "
                                    "none is offerable (default 1)")
-    fleet_worker.add_argument("--offline-grace", type=float, default=60.0,
-                              metavar="SECONDS",
+    fleet_worker.add_argument("--offline-grace", type=_seconds,
+                              default=60.0, metavar="SECONDS",
                               help="keep retrying an unreachable "
                                    "coordinator for SECONDS before giving "
                                    "up (default 60) — covers coordinator "
@@ -1321,7 +1335,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config's base seed")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the campaign completes")
-    submit.add_argument("--poll", type=float, default=1.0,
+    submit.add_argument("--poll", type=_seconds, default=1.0,
                         metavar="SECONDS",
                         help="status poll interval with --wait (default 1)")
     submit.add_argument("--output", metavar="PATH",

@@ -70,10 +70,9 @@ class SutSnapshot:
 
     Captured by :meth:`JailhouseSUT.snapshot` and written back in place by
     :meth:`JailhouseSUT.restore`: restoring mutates the existing object graph
-    (board RAM pages, CPU/GIC/timer state, hypervisor cell registry, guest
+    (board memory map, CPU/GIC/timer state, hypervisor cell registry, guest
     kernel state) instead of rebuilding it, so references between components
-    — guests attached to cells, MMIO handlers bound to regions, injector
-    hooks — stay valid.
+    — guests attached to cells, injector hooks — stay valid.
     """
 
     board: dict

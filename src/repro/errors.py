@@ -23,19 +23,6 @@ class HardwareError(ReproError):
     """Base class for errors raised by the simulated hardware substrate."""
 
 
-class MemoryAccessError(HardwareError):
-    """A memory access violated the physical memory map or its permissions."""
-
-    def __init__(self, address: int, size: int, kind: str, reason: str) -> None:
-        self.address = address
-        self.size = size
-        self.kind = kind
-        self.reason = reason
-        super().__init__(
-            f"{kind} access of {size} byte(s) at 0x{address:08x} failed: {reason}"
-        )
-
-
 class RegionOverlapError(HardwareError):
     """Two memory regions that must be disjoint overlap."""
 

@@ -4,8 +4,10 @@ This subpackage models the testbed used by the paper — a Banana Pi M1 board
 with a dual-core ARM Cortex-A7, 1 GB of DRAM, a UART serial console, a GIC
 interrupt controller, per-CPU generic timers, and a GPIO-driven LED — at the
 behavioral level needed by the fault-injection experiments: architectural
-registers, CPU modes and exception entry, a physical memory map with
-permissions, interrupt routing, and observable serial output.
+registers, CPU modes and exception entry, interrupt routing, and observable
+serial output. The physical memory map holds the board's region layout only;
+no simulated memory is read or written, since cell isolation is decided by
+each cell's stage-2 map.
 """
 
 from repro.hw.board import BananaPiBoard, BoardConfig

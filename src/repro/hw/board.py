@@ -75,8 +75,7 @@ class BananaPiBoard:
         self.memory = PhysicalMemory(self._build_memory_map())
         self.gic = Gic(self.config.num_cpus)
         self.uart = Uart("uart0", clock=lambda: self.clock.now)
-        self.memory.attach_mmio("uart0", self.uart)
-        self.gpio = GpioController(num_pins=32, clock=lambda: self.clock.now)
+        self.gpio = GpioController(num_pins=32)
         self.led = Led(self.gpio, LED_PIN, name="green-led")
         self.timers: List[GenericTimer] = [
             GenericTimer(cpu_id, self.clock, self.gic)
@@ -117,12 +116,11 @@ class BananaPiBoard:
         self.clock.cancel_all()
         self.gic.clear_pending()
         self.uart.clear()
-        self.gpio.clear_history()
 
     # -- snapshot / restore --------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Capture the whole board: clock phase, CPUs, RAM pages, devices."""
+        """Capture the whole board: clock phase, CPUs, memory map, devices."""
         return {
             "now": self.clock.now,
             "cpus": [cpu.snapshot_state() for cpu in self.cpus],

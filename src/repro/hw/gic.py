@@ -103,12 +103,6 @@ class Gic:
     def is_enabled(self, irq: int) -> bool:
         return irq in self._enabled_irqs
 
-    def irq_priority(self, irq: int) -> int:
-        return self._priorities.get(irq, 0xFF)
-
-    def irq_targets(self, irq: int) -> Set[int]:
-        return set(self._targets.get(irq, set()))
-
     def retarget_irq(self, irq: int, targets: Set[int]) -> None:
         """Change the CPUs an SPI is delivered to (used on cell create/destroy)."""
         self._validate_irq(irq)

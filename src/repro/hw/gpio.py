@@ -1,89 +1,55 @@
 """GPIO controller and LED model.
 
 The paper's FreeRTOS workload includes "a task to blink an onboard led". The
-LED is the simplest liveness signal of the non-root cell besides its UART
-output, so the model counts toggles and records the last toggle time for the
-availability monitors.
+model keeps each pin's level and nothing else: the blink task toggles the
+LED's pin on each release, and the non-root cell's liveness is judged from
+its UART output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
 from repro.errors import DeviceError
 
 
-@dataclass
-class PinEvent:
-    """One level change on a GPIO pin."""
-
-    timestamp: float
-    pin: int
-    level: bool
-
-
 class GpioController:
-    """Bank of GPIO pins with change history."""
+    """Bank of GPIO pins."""
 
-    def __init__(self, num_pins: int = 32,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, num_pins: int = 32) -> None:
         if num_pins <= 0:
             raise DeviceError("GPIO controller needs at least one pin")
         self.num_pins = num_pins
         self._levels: Dict[int, bool] = {pin: False for pin in range(num_pins)}
-        self._clock = clock or (lambda: 0.0)
-        self.events: List[PinEvent] = []
 
     def _check_pin(self, pin: int) -> None:
         if not 0 <= pin < self.num_pins:
             raise DeviceError(f"pin {pin} out of range [0, {self.num_pins})")
 
     def set_level(self, pin: int, level: bool) -> None:
-        """Drive a pin high or low; no-op if the level is unchanged."""
+        """Drive a pin high or low."""
         self._check_pin(pin)
-        if self._levels[pin] == level:
-            return
         self._levels[pin] = level
-        self.events.append(PinEvent(timestamp=self._clock(), pin=pin, level=level))
 
     def toggle(self, pin: int) -> bool:
         """Invert a pin and return its new level."""
         self._check_pin(pin)
-        new_level = not self._levels[pin]
-        self.set_level(pin, new_level)
-        return new_level
+        level = self._levels[pin] = not self._levels[pin]
+        return level
 
     def get_level(self, pin: int) -> bool:
         self._check_pin(pin)
         return self._levels[pin]
 
-    def toggle_count(self, pin: int) -> int:
-        """Number of recorded level changes on ``pin``."""
-        self._check_pin(pin)
-        return sum(1 for event in self.events if event.pin == pin)
-
-    def last_change(self, pin: int) -> Optional[float]:
-        """Timestamp of the most recent level change on ``pin``."""
-        self._check_pin(pin)
-        for event in reversed(self.events):
-            if event.pin == pin:
-                return event.timestamp
-        return None
-
-    def clear_history(self) -> None:
-        self.events.clear()
-
     # -- snapshot / restore ----------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Capture pin levels and the change history."""
-        return {"levels": dict(self._levels), "events": list(self.events)}
+        """Capture pin levels."""
+        return {"levels": dict(self._levels)}
 
     def restore_state(self, state: dict) -> None:
         """Restore a prior :meth:`snapshot_state` in place."""
         self._levels = dict(state["levels"])
-        self.events = list(state["events"])
 
 
 class Led:
@@ -106,10 +72,3 @@ class Led:
     @property
     def lit(self) -> bool:
         return self.gpio.get_level(self.pin)
-
-    @property
-    def blink_count(self) -> int:
-        return self.gpio.toggle_count(self.pin)
-
-    def last_blink(self) -> Optional[float]:
-        return self.gpio.last_change(self.pin)

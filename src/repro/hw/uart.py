@@ -3,9 +3,11 @@
 The paper's only observable is the board's serial output: each test sends its
 outcome "to an empty shell where the board serial port is connected", and the
 non-root cell's availability is judged by whether its FreeRTOS tasks keep
-printing. This module models a 16550-style UART whose transmit side is
+printing. This module models the UART's transmit side only: each line is
 captured into a timestamped, source-tagged record list so monitors can ask
-"did cell X produce any output in the last N seconds?".
+"did cell X produce any output in the last N seconds?". The UART has no
+registers: the guest models and the hypervisor's debug console write lines
+and characters to it directly.
 
 Captured records are indexed as they arrive — a per-source record list plus
 bisectable timestamp arrays — so the windowed queries the monitors issue
@@ -20,13 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.hw.memory import MmioHandler
-
-#: Register offsets (subset of a 16550).
-UART_THR = 0x00   # transmit holding register
-UART_LSR = 0x14   # line status register
-UART_LSR_THRE = 1 << 5   # transmit holding register empty
-
 
 @dataclass(frozen=True)
 class UartRecord:
@@ -37,13 +32,12 @@ class UartRecord:
     text: str
 
 
-class Uart(MmioHandler):
+class Uart:
     """Serial port with per-source capture.
 
-    Writers either call :meth:`write_line` directly (the guest models do this,
-    tagging output with their cell name) or go through the MMIO interface (one
-    byte at a time to the THR register), in which case bytes are accumulated
-    until a newline.
+    Writers either call :meth:`write_line` (the guest models do this, tagging
+    output with their cell name) or :meth:`write_char` (the hypervisor's
+    debug console), whose characters are accumulated until a newline.
     """
 
     def __init__(self, name: str = "uart0",
@@ -58,9 +52,8 @@ class Uart(MmioHandler):
         # repro: allow[snapshot-complete] -- derived index; restore_state rebuilds it by re-appending the captured records
         self._source_timestamps: Dict[str, List[float]] = {}
         self._partial: dict[str, str] = {}
-        self._mmio_source = "mmio"
 
-    # -- direct (guest model) interface -----------------------------------------
+    # -- writers ----------------------------------------------------------------
 
     def _append(self, record: UartRecord) -> None:
         """Add a record to the capture and every derived index."""
@@ -87,21 +80,6 @@ class Uart(MmioHandler):
             self.write_line(source, pending)
         else:
             self._partial[source] = self._partial.get(source, "") + char
-
-    # -- MMIO interface -----------------------------------------------------------
-
-    def set_mmio_source(self, source: str) -> None:
-        """Attribute subsequent MMIO writes to ``source``."""
-        self._mmio_source = source
-
-    def mmio_read(self, offset: int, size: int) -> int:
-        if offset == UART_LSR:
-            return UART_LSR_THRE
-        return 0
-
-    def mmio_write(self, offset: int, value: int, size: int) -> None:
-        if offset == UART_THR:
-            self.write_char(self._mmio_source, chr(value & 0xFF))
 
     # -- capture queries ------------------------------------------------------------
 
@@ -173,7 +151,6 @@ class Uart(MmioHandler):
         return {
             "records": list(self._records),
             "partial": dict(self._partial),
-            "mmio_source": self._mmio_source,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -182,4 +159,3 @@ class Uart(MmioHandler):
         for record in state["records"]:
             self._append(record)
         self._partial = dict(state["partial"])
-        self._mmio_source = state["mmio_source"]

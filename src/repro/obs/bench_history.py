@@ -42,8 +42,8 @@ def flatten_metrics(data: dict, *, prefix: str = "",
                     _top: bool = True) -> Dict[str, float]:
     """Numeric leaves of a benchmark report as dotted keys.
 
-    ``{"metrics": {"memory": {"read4_per_s": 2e6}}}`` becomes
-    ``{"metrics.memory.read4_per_s": 2000000.0}``. Non-numeric leaves and
+    ``{"metrics": {"experiment": {"wall_s": 0.02}}}`` becomes
+    ``{"metrics.experiment.wall_s": 0.02}``. Non-numeric leaves and
     the non-metric top-level keys (schema, machine, gates, frozen
     references) are skipped; booleans are not numbers.
     """

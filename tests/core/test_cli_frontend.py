@@ -1,6 +1,7 @@
 """Tests for the repro-fi command-line front-end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 from repro.cli import _policy, build_parser, main
 from repro.core.policy import RunPolicy
 from repro.core.recording import RecordStore
+from repro.errors import ReproError
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+README = Path(__file__).resolve().parents[2] / "README.md"
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: A config whose fault-model axis fans each seed into a two-member family.
@@ -722,10 +725,25 @@ class TestErrorFunnel:
         (["fleet-worker", "notaurl"], "url"),
         (["fleet-status", "http://[::1"], "url"),
         (["submit", "http://[::1", "fig3"], "url"),
+        # Seconds must be finite and >= 0: a negative poll was a sleep()
+        # traceback, and a NaN timeout or grace period never expired.
+        (["watch", "{tmp}/records.jsonl", "--timeout", "1", "--poll", "-1"],
+         "--poll"),
+        (["watch", "{tmp}/records.jsonl", "--timeout", "nan", "--poll",
+          "0.1"], "--timeout"),
+        (["fleet-worker", "http://127.0.0.1:9", "--poll", "-1",
+          "--offline-grace", "1", "--until-done"], "--poll"),
+        (["fleet-worker", "http://127.0.0.1:9", "--poll", "0.1",
+          "--offline-grace", "nan", "--until-done"], "--offline-grace"),
+        (["submit", "http://127.0.0.1:9", "fig3", "--tests", "1",
+          "--duration", "1", "--wait", "--poll", "-1"], "--poll"),
     ], ids=["serve-port", "watch-port", "fig3-watch", "run-watch-negative",
-            "fleet-worker-url", "fleet-status-url", "submit-url"])
-    def test_a_bad_port_or_coordinator_url_is_a_usage_error(self, tmp_path,
-                                                            argv, named):
+            "fleet-worker-url", "fleet-status-url", "submit-url",
+            "watch-poll-negative", "watch-timeout-nan",
+            "fleet-worker-poll-negative", "fleet-worker-grace-nan",
+            "submit-poll-negative"])
+    def test_a_bad_port_url_or_seconds_value_is_a_usage_error(self, tmp_path,
+                                                              argv, named):
         # Refused by the parser: no server binds, no worker joins, no
         # campaign runs and nothing is written.
         completed = run_repro(*(arg.format(tmp=tmp_path) for arg in argv))
@@ -735,3 +753,17 @@ class TestErrorFunnel:
         last = completed.stderr.strip().splitlines()[-1]
         assert f"error: argument {named}:" in last
         assert list(tmp_path.iterdir()) == []
+
+    def test_the_readme_names_every_usage_error_class(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        usage = {cls.__name__ for cls in subclasses(ReproError)
+                 if cls.exit_code == 2}
+        section = README.read_text(encoding="utf-8").split(
+            "\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+        row = next(line for line in section.splitlines()
+                   if line.startswith("| `2` |"))
+        assert usage and set(re.findall(r"`(\w+Error)`", row)) == usage

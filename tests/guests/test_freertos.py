@@ -167,7 +167,10 @@ class TestPaperWorkload:
 
     def test_blink_task_toggles_the_board_led(self, booted_sut):
         booted_sut.run(3.0)
-        assert booted_sut.board.led.blink_count >= 4
+        # Each release toggles the LED once, starting from unlit.
+        runs = booted_sut.freertos.task_by_name("blink").run_count
+        assert runs >= 4
+        assert booted_sut.board.led.lit == (runs % 2 == 1)
 
     def test_send_receive_tasks_use_the_queue_and_ivshmem(self, booted_sut):
         booted_sut.run(3.0)

@@ -7,7 +7,7 @@ from repro.hw.clock import SimulationClock
 from repro.hw.gic import Gic
 from repro.hw.gpio import GpioController, Led
 from repro.hw.timer import GenericTimer, VIRTUAL_TIMER_PPI
-from repro.hw.uart import UART_LSR, UART_LSR_THRE, UART_THR, Uart
+from repro.hw.uart import Uart
 
 
 class TestUart:
@@ -67,17 +67,6 @@ class TestUart:
         assert not uart.silent_since(0.0, "cell")
         assert uart.silent_since(0.0, "other")
 
-    def test_mmio_thr_writes_are_attributed_to_the_mmio_source(self):
-        uart = Uart()
-        uart.set_mmio_source("root")
-        for char in b"ok\n":
-            uart.mmio_write(UART_THR, char, 1)
-        assert uart.lines("root") == ["ok"]
-
-    def test_mmio_lsr_reports_transmitter_empty(self):
-        uart = Uart()
-        assert uart.mmio_read(UART_LSR, 4) & UART_LSR_THRE
-
     def test_clear_drops_history(self):
         uart = Uart()
         uart.write_line("a", "x")
@@ -136,13 +125,6 @@ class TestGpioAndLed:
         with pytest.raises(DeviceError):
             GpioController(0)
 
-    def test_set_level_records_changes_only(self):
-        gpio = GpioController(8)
-        gpio.set_level(3, True)
-        gpio.set_level(3, True)
-        gpio.set_level(3, False)
-        assert gpio.toggle_count(3) == 2
-
     def test_out_of_range_pin_is_rejected(self):
         gpio = GpioController(4)
         with pytest.raises(DeviceError):
@@ -154,25 +136,17 @@ class TestGpioAndLed:
         assert gpio.toggle(1) is False
         assert gpio.get_level(1) is False
 
-    def test_last_change_uses_clock(self):
-        clock = SimulationClock()
-        gpio = GpioController(4, clock=lambda: clock.now)
-        clock.advance(1.5)
-        gpio.toggle(2)
-        assert gpio.last_change(2) == pytest.approx(1.5)
-        assert gpio.last_change(3) is None
-
-    def test_led_blink_counter(self):
+    def test_led_drives_its_pin(self):
         gpio = GpioController(32)
         led = Led(gpio, pin=24)
+        assert led.lit is False
         led.on()
+        assert led.lit is True and gpio.get_level(24) is True
+        # Only the LED's own pin moves.
+        assert [pin for pin in range(32) if gpio.get_level(pin)] == [24]
         led.off()
-        led.toggle()
-        assert led.blink_count == 3
-        assert led.lit is True
-
-    def test_clear_history_resets_counters(self):
-        gpio = GpioController(4)
-        gpio.toggle(0)
-        gpio.clear_history()
-        assert gpio.toggle_count(0) == 0
+        assert led.lit is False and gpio.get_level(24) is False
+        assert led.toggle() is True
+        assert led.lit is True and gpio.get_level(24) is True
+        assert led.toggle() is False
+        assert led.lit is False and gpio.get_level(24) is False

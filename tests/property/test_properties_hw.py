@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MemoryAccessError, RegionOverlapError
+from repro.errors import RegionOverlapError
 from repro.hw.memory import MemoryFlags, MemoryRegion, PhysicalMemory
 from repro.hw.registers import (
     ARCHITECTURAL_REGISTERS,
@@ -94,20 +94,3 @@ class TestMemoryProperties:
         for region in added:
             others = [other for other in added if other is not region]
             assert not any(region.overlaps(other) for other in others)
-
-    @given(offset=st.integers(min_value=0, max_value=0x2000 - 8),
-           payload=st.binary(min_size=1, max_size=8))
-    @settings(max_examples=60)
-    def test_write_then_read_returns_the_same_bytes(self, offset, payload):
-        memory = PhysicalMemory([MemoryRegion("ram", 0x0, 0x2000, MemoryFlags.RW)])
-        memory.write_bytes(offset, payload)
-        assert memory.read_bytes(offset, len(payload)) == payload
-
-    @given(address=st.integers(min_value=0x3000, max_value=0x10000))
-    def test_unmapped_addresses_always_fault(self, address):
-        memory = PhysicalMemory([MemoryRegion("ram", 0x0, 0x2000, MemoryFlags.RW)])
-        try:
-            memory.read(address, 4)
-            assert False, "expected a fault"
-        except MemoryAccessError as error:
-            assert error.address == address
