@@ -3,9 +3,23 @@
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw.board import BananaPiBoard, BoardConfig, DRAM_BASE, UART0_IRQ
+from repro.hw.board import (
+    BananaPiBoard,
+    BoardConfig,
+    DRAM_BASE,
+    DRAM_SIZE,
+    GIC_BASE,
+    GIC_SIZE,
+    PIO_BASE,
+    PIO_SIZE,
+    SRAM_BASE,
+    SRAM_SIZE,
+    UART0_BASE,
+    UART0_IRQ,
+    UART0_SIZE,
+)
 from repro.hw.cpu import CpuState
-from repro.hw.memory import MemoryFlags
+from repro.hw.memory import MemoryFlags, MemoryRegion
 from repro.hw.timer import VIRTUAL_TIMER_PPI
 
 
@@ -32,6 +46,18 @@ def test_memory_map_has_no_overlaps_and_expected_regions():
     for region in board.memory.regions:
         others = [other for other in board.memory.regions if other is not region]
         assert not any(region.overlaps(other) for other in others)
+
+
+@pytest.mark.parametrize("name, start, size, flags", [
+    ("boot-sram", SRAM_BASE, SRAM_SIZE, MemoryFlags.RWX),
+    ("pio", PIO_BASE, PIO_SIZE, MemoryFlags.RW | MemoryFlags.IO),
+    ("uart0", UART0_BASE, UART0_SIZE, MemoryFlags.RW | MemoryFlags.IO),
+    ("gic", GIC_BASE, GIC_SIZE, MemoryFlags.RW | MemoryFlags.IO),
+    ("dram", DRAM_BASE, DRAM_SIZE, MemoryFlags.RWX),
+])
+def test_memory_map_follows_the_a20_layout(name, start, size, flags):
+    region = BananaPiBoard().memory.find_region_by_name(name)
+    assert (region.start, region.size, region.flags) == (start, size, flags)
 
 
 def test_uart_region_is_an_io_region():
@@ -85,6 +111,29 @@ def test_reset_returns_board_to_cold_state():
     assert board.clock.pending_events() == 0
     assert board.uart.output_count() == 0
     assert not board.gic.has_pending(0)
+
+
+def test_snapshot_restore_brings_back_the_led_and_the_console():
+    board = BananaPiBoard()
+    board.power_on()
+    board.uart.write_line("FreeRTOS", "before")
+    state = board.snapshot_state()
+    board.led.on()
+    board.advance(0.5)
+    board.uart.write_line("FreeRTOS", "after")
+    board.restore_state(state)
+    assert board.led.lit is False
+    assert board.uart.lines("FreeRTOS") == ["before"]
+    assert board.clock.now == 0.0
+
+
+def test_restore_drops_a_memory_region_added_after_the_snapshot():
+    board = BananaPiBoard()
+    state = board.snapshot_state()
+    board.memory.add_region(MemoryRegion("late", 0x2000_0000, 0x1000))
+    board.restore_state(state)
+    assert board.memory.find_region_by_name("late") is None
+    assert board.dram.start == DRAM_BASE
 
 
 def test_describe_mentions_cpus_and_memory():

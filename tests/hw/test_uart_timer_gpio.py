@@ -74,6 +74,64 @@ class TestUart:
         assert uart.output_count() == 0
         assert uart.last_output_time() is None
 
+    def test_clear_drops_pending_partial_lines(self):
+        uart = Uart()
+        uart.write_char("cell", "x")
+        uart.clear()
+        uart.write_char("cell", "\n")
+        assert uart.lines("cell") == [""]
+
+    def test_a_bare_newline_writes_an_empty_line(self):
+        uart = Uart()
+        uart.write_char("hypervisor", "\n")
+        assert uart.lines("hypervisor") == [""]
+        assert uart.output_count("hypervisor") == 1
+
+    def test_last_output_time_is_per_source(self):
+        clock = SimulationClock()
+        uart = Uart(clock=lambda: clock.now)
+        uart.write_line("a", "first")
+        clock.advance(2.0)
+        uart.write_line("b", "second")
+        assert uart.last_output_time("a") == pytest.approx(0.0)
+        assert uart.last_output_time("b") == pytest.approx(2.0)
+        assert uart.last_output_time() == pytest.approx(2.0)
+        assert uart.last_output_time("c") is None
+
+    def test_snapshot_restore_rebuilds_the_indexes(self):
+        clock = SimulationClock()
+        uart = Uart(clock=lambda: clock.now)
+        uart.write_line("a", "a0")
+        clock.advance(1.0)
+        uart.write_line("b", "b1")
+        uart.write_char("a", "p")
+        state = uart.snapshot_state()
+        clock.advance(1.0)
+        uart.write_line("a", "a2")
+        uart.write_char("b", "q")
+
+        uart.restore_state(state)
+        assert uart.lines() == ["a0", "b1"]
+        assert uart.sources() == ("a", "b")
+        assert [r.text for r in uart.records_between(0.5, 5.0)] == ["b1"]
+        assert [r.text for r in uart.records_between(0.0, 5.0, "a")] == ["a0"]
+        assert uart.last_output_time("a") == pytest.approx(0.0)
+        # The pending partial lines are the snapshot's: "p" for a, none for b.
+        uart.write_char("a", "\n")
+        uart.write_char("b", "\n")
+        assert uart.lines("a") == ["a0", "p"]
+        assert uart.lines("b") == ["b1", ""]
+
+    def test_snapshot_is_immune_to_later_writes(self):
+        uart = Uart()
+        uart.write_line("a", "kept")
+        uart.write_char("a", "x")
+        state = uart.snapshot_state()
+        uart.write_line("a", "later")
+        uart.write_char("a", "y")
+        assert [record.text for record in state["records"]] == ["kept"]
+        assert state["partial"] == {"a": "x"}
+
     def test_dump_renders_log_file_format(self):
         uart = Uart()
         uart.write_line("hypervisor", "Initializing")
@@ -129,6 +187,35 @@ class TestGpioAndLed:
         gpio = GpioController(4)
         with pytest.raises(DeviceError):
             gpio.set_level(9, True)
+
+    @pytest.mark.parametrize("pin", [-1, 4])
+    def test_every_pin_access_checks_the_range(self, pin):
+        gpio = GpioController(4)
+        with pytest.raises(DeviceError):
+            gpio.get_level(pin)
+        with pytest.raises(DeviceError):
+            gpio.toggle(pin)
+        with pytest.raises(DeviceError):
+            gpio.set_level(pin, False)
+
+    def test_set_level_drives_the_pin_to_the_given_level(self):
+        gpio = GpioController(4)
+        gpio.set_level(2, True)
+        gpio.set_level(2, True)
+        assert gpio.get_level(2) is True
+        gpio.set_level(2, False)
+        gpio.set_level(2, False)
+        assert gpio.get_level(2) is False
+
+    def test_snapshot_restore_round_trip_of_levels(self):
+        gpio = GpioController(4)
+        gpio.set_level(1, True)
+        state = gpio.snapshot_state()
+        gpio.toggle(1)
+        gpio.toggle(3)
+        assert state["levels"][1] is True and state["levels"][3] is False
+        gpio.restore_state(state)
+        assert [gpio.get_level(pin) for pin in range(4)] == [False, True, False, False]
 
     def test_toggle_inverts_level(self):
         gpio = GpioController(4)

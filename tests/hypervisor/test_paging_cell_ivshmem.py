@@ -37,6 +37,20 @@ class TestStage2:
         with pytest.raises(IsolationViolationError):
             mapping.translate(0x2000)
 
+    def test_contains_virt_is_end_exclusive(self):
+        mapping = Stage2Mapping("ram", 0x100, 0x7800_0000, 0x10, MemoryFlags.RW)
+        assert mapping.contains_virt(0x100)
+        assert mapping.contains_virt(0x10F)
+        assert not mapping.contains_virt(0x110)
+        assert not mapping.contains_virt(0x0FF)
+        assert not mapping.contains_virt(0x10C, size=8)   # crosses the end
+
+    def test_permits_follows_the_mapping_flags(self):
+        mapping = Stage2Mapping("ro", 0x0, 0x7800_0000, 0x10, MemoryFlags.READ)
+        assert mapping.permits(AccessType.READ)
+        assert not mapping.permits(AccessType.WRITE)
+        assert not mapping.permits(AccessType.EXECUTE)
+
     def test_from_assignment_copies_fields(self):
         assignment = MemoryAssignment("ram", 0x10, 0x20, 0x30,
                                       MemoryFlags.RW, shared=True)
@@ -56,6 +70,65 @@ class TestStage2:
         assert cell_map.is_executable(0x100)
         assert not cell_map.is_executable(0x3000_0000)   # shm is not executable
         assert not cell_map.is_mapped(0x5000_0000, 4)
+
+    def test_find_returns_the_containing_mapping(self):
+        cell_map = make_map()
+        assert cell_map.find(0x10).name == "ram"
+        assert cell_map.find(0x3000_0000, 8).name == "shm"
+        assert cell_map.find(0x2000_0000) is None
+
+    def test_is_mapped_rejects_a_window_crossing_a_mapping_end(self):
+        cell_map = CellMemoryMap("c", [
+            Stage2Mapping("low", 0x0, 0x7800_0000, 0x1000, MemoryFlags.RW),
+            Stage2Mapping("high", 0x1000, 0x7900_0000, 0x1000, MemoryFlags.RW),
+        ])
+        assert cell_map.is_mapped(0xFFC, 4)
+        assert cell_map.is_mapped(0x1000, 4)
+        # Adjacent mappings are two windows, not one: no access spans both.
+        assert not cell_map.is_mapped(0xFFE, 4)
+        assert cell_map.find(0xFFE, 4) is None
+        assert not cell_map.is_mapped(0x1FFE, 4)
+
+    def test_a_read_only_mapping_refuses_writes_and_fetches(self):
+        cell_map = CellMemoryMap("c", [
+            Stage2Mapping("rom", 0x0, 0x7800_0000, 0x1000, MemoryFlags.READ),
+        ])
+        assert cell_map.is_mapped(0x10, 4, AccessType.READ)
+        assert not cell_map.is_mapped(0x10, 4, AccessType.WRITE)
+        assert not cell_map.is_mapped(0x10, 4, AccessType.EXECUTE)
+        assert not cell_map.is_executable(0x10)
+
+    def test_is_executable_needs_the_whole_word_inside_the_mapping(self):
+        cell_map = make_map()
+        assert cell_map.is_executable((1 << 20) - 4)
+        assert not cell_map.is_executable((1 << 20) - 2)
+
+    def test_a_stage2_fault_names_the_cell_and_the_address(self):
+        with pytest.raises(IsolationViolationError) as excinfo:
+            make_map("freertos").translate(0xDEAD_0000)
+        assert "'freertos'" in str(excinfo.value)
+        assert "0xdead0000" in str(excinfo.value)
+
+    def test_mappings_are_sorted_by_guest_address(self):
+        cell_map = CellMemoryMap("c", [
+            Stage2Mapping("b", 0x2000, 0x7900_0000, 0x1000, MemoryFlags.RW),
+            Stage2Mapping("a", 0x0, 0x7800_0000, 0x1000, MemoryFlags.RW),
+        ])
+        cell_map.add(Stage2Mapping("m", 0x1000, 0x7A00_0000, 0x1000, MemoryFlags.RW))
+        assert [m.name for m in cell_map.mappings] == ["a", "m", "b"]
+
+    def test_ram_view_follows_add_and_remove(self):
+        cell_map = make_map()
+        assert [m.name for m in cell_map.ram_mappings()] == ["ram", "shm"]
+        cell_map.add(Stage2Mapping("uart", 0x01C2_8000, 0x01C2_8000, 0x400,
+                                   MemoryFlags.RW | MemoryFlags.IO))
+        cell_map.add(Stage2Mapping("extra", 0x4000_0000, 0x7A00_0000, 0x1000,
+                                   MemoryFlags.RW))
+        assert [m.name for m in cell_map.ram_mappings()] == ["ram", "shm", "extra"]
+        assert [m.name for m in cell_map.io_mappings()] == ["uart"]
+        cell_map.remove("shm")
+        assert [m.name for m in cell_map.ram_mappings()] == ["ram", "extra"]
+        assert not cell_map.is_mapped(0x3000_0000, 4)
 
     def test_translate_through_the_map(self):
         cell_map = make_map()

@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import RegionOverlapError
-from repro.hw.memory import MemoryFlags, MemoryRegion, PhysicalMemory
+from repro.errors import ConfigurationError, IsolationViolationError, RegionOverlapError
+from repro.hw.memory import AccessType, MemoryFlags, MemoryRegion, PhysicalMemory
 from repro.hw.registers import (
     ARCHITECTURAL_REGISTERS,
     Register,
@@ -13,6 +13,7 @@ from repro.hw.registers import (
     WORD_MASK,
     flip_bit,
 )
+from repro.hypervisor.paging import CellMemoryMap, Stage2Mapping
 
 registers_strategy = st.sampled_from(list(ARCHITECTURAL_REGISTERS))
 words = st.integers(min_value=0, max_value=WORD_MASK)
@@ -94,3 +95,70 @@ class TestMemoryProperties:
         for region in added:
             others = [other for other in added if other is not region]
             assert not any(region.overlaps(other) for other in others)
+
+
+mapping_specs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=1 << 16),
+              st.integers(min_value=1, max_value=1 << 12),
+              st.sampled_from([MemoryFlags.READ, MemoryFlags.RW, MemoryFlags.RWX,
+                               MemoryFlags.READ | MemoryFlags.EXECUTE,
+                               MemoryFlags.RW | MemoryFlags.IO])),
+    min_size=1, max_size=6,
+)
+probe_addresses = st.integers(min_value=0, max_value=(1 << 16) + (1 << 12))
+
+
+def build_cell_map(specs):
+    """A stage-2 map of every spec that does not overlap an earlier one."""
+    cell_map = CellMemoryMap("cell")
+    for index, (start, size, flags) in enumerate(specs):
+        try:
+            cell_map.add(Stage2Mapping(f"m{index}", start, 0x4000_0000 + start,
+                                       size, flags))
+        except ConfigurationError:
+            pass
+    return cell_map
+
+
+class TestStage2Properties:
+    """The stage-2 map's flat span index agrees with its mappings.
+
+    ``is_mapped``, ``is_executable`` and ``translate`` answer from plain-int
+    spans; the oracle asks each :class:`Stage2Mapping` directly.
+    """
+
+    @given(specs=mapping_specs, address=probe_addresses,
+           size=st.integers(min_value=1, max_value=8),
+           access=st.sampled_from(list(AccessType)))
+    @settings(max_examples=80)
+    def test_is_mapped_agrees_with_the_mappings(self, specs, address, size, access):
+        cell_map = build_cell_map(specs)
+        expected = any(mapping.contains_virt(address, size) and mapping.permits(access)
+                       for mapping in cell_map.mappings)
+        assert cell_map.is_mapped(address, size, access) == expected
+
+    @given(specs=mapping_specs, address=probe_addresses)
+    @settings(max_examples=60)
+    def test_is_executable_agrees_with_the_mappings(self, specs, address):
+        cell_map = build_cell_map(specs)
+        expected = any(mapping.contains_virt(address, 4)
+                       and mapping.permits(AccessType.EXECUTE)
+                       for mapping in cell_map.mappings)
+        assert cell_map.is_executable(address) == expected
+
+    @given(specs=mapping_specs, address=probe_addresses)
+    @settings(max_examples=60)
+    def test_translate_faults_exactly_outside_every_mapping(self, specs, address):
+        cell_map = build_cell_map(specs)
+        owners = [mapping for mapping in cell_map.mappings
+                  if mapping.contains_virt(address)]
+        if owners:
+            (owner,) = owners
+            assert cell_map.translate(address) == \
+                owner.phys_start + (address - owner.virt_start)
+        else:
+            try:
+                cell_map.translate(address)
+                assert False, "expected a stage-2 fault"
+            except IsolationViolationError as error:
+                assert f"0x{address:08x}" in str(error)
