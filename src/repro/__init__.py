@@ -41,7 +41,7 @@ _EXPORTS = {
     "CampaignResult": "repro.core.campaign",
     "EveryNCalls": "repro.core.triggers",
     "Experiment": "repro.core.experiment",
-    "ExperimentResult": "repro.core.experiment",
+    "ExperimentResult": "repro.core.outcomes",
     "ExperimentSpec": "repro.core.experiment",
     "FaultInjector": "repro.core.injection",
     "InjectionTarget": "repro.core.targets",

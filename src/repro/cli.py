@@ -91,28 +91,13 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.streaming import (
     PAPER_FIGURE3_REFERENCE,
     StreamingAnalyzer,
     analyze_records,
     compare_to_dict,
-)
-from repro.core.campaign import Campaign
-from repro.core.config import (
-    catalog_config,
-    catalog_describe,
-    catalog_keys,
-    load_campaign_config,
-)
-from repro.core.experiment import Scenario
-from repro.core.plan import (
-    IntensityLevel,
-    build_intensity_plan,
-    paper_figure3_plan,
-    paper_high_intensity_nonroot_plan,
-    paper_high_intensity_root_plan,
 )
 from repro.core.outcomes import Outcome
 from repro.core.policy import RunPolicy
@@ -129,22 +114,29 @@ from repro.core.registry import (
     WORKLOADS,
 )
 from repro.core.analysis import outcome_distribution
-from repro.core.targets import InjectionTarget
-from repro.engine import CampaignEngine
 from repro.errors import (
     AnalysisError,
     CampaignConfigError,
     FleetError,
     ReproError,
 )
-from repro.hypervisor.handlers import ALL_HANDLERS
+from repro.hypervisor.traps import ALL_HANDLERS
 from repro.rng import seeded_rng
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.targets import InjectionTarget
+
+# The campaign stack (plans, configs, the engine and the simulator below
+# them) is imported inside the functions that use it, so that the commands
+# that read records, and ``--help``, load none of it.
 
 #: Figure-3 reference shares used for side-by-side reporting.
 PAPER_FIGURE3 = PAPER_FIGURE3_REFERENCE
 
 
 def _build_target(handler: str, cpu: Optional[int]) -> InjectionTarget:
+    from repro.core.targets import InjectionTarget
+
     cpus = None if cpu is None else {cpu}
     if handler == "all":
         return InjectionTarget(handlers=tuple(ALL_HANDLERS),
@@ -292,6 +284,8 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
     crashing or hanging spec is retried and then quarantined rather than
     taking the whole run down.
     """
+    from repro.engine import CampaignEngine
+
     _refuse_directories(args.output, args.resume, args.telemetry)
     policy = _policy(args, policy)
     telemetry, hub, server = _observability(plan, args)
@@ -359,6 +353,9 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
 
 
 def cmd_golden(args: argparse.Namespace) -> int:
+    from repro.core.campaign import Campaign
+    from repro.core.plan import paper_figure3_plan
+
     plan = paper_figure3_plan(num_tests=1, duration=1.0)
     golden = Campaign(plan, sut_factory=_sut_factory(args)).golden_run(
         duration=args.duration, seed=args.seed)
@@ -372,6 +369,7 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
+    from repro.core.plan import paper_figure3_plan
     from repro.core.report import format_figure3
 
     plan = paper_figure3_plan(num_tests=args.tests, duration=args.duration,
@@ -383,6 +381,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.core.plan import IntensityLevel, build_intensity_plan
     from repro.core.report import format_campaign_summary
 
     intensity = IntensityLevel(args.intensity)
@@ -409,6 +408,8 @@ def _resolve_campaign_config(name_or_path: str, *,
     shared ``--tests/--duration/--seed`` overrides applied. Used by
     ``run`` (local execution) and ``submit``/``serve`` (fleet execution),
     so a campaign means the same thing on every path."""
+    from repro.core.config import catalog_config, load_campaign_config
+
     if Path(name_or_path).exists():
         config = load_campaign_config(name_or_path)
     else:
@@ -456,6 +457,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     """Show every registered campaign part and catalog entry."""
+    from repro.core.config import catalog_describe
+
     sections = [
         ("catalog campaigns (repro-fi run <name>)", catalog_describe()),
         ("SUTs (--sut / [campaign] sut)", SUTS.describe()),
@@ -1030,7 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "else 8); deliberate --timeout kills are "
                                   "not counted")
         command.add_argument("--verbose", action="store_true")
-        command.add_argument("--progress-interval", type=float, default=0.0,
+        command.add_argument("--progress-interval", type=_seconds, default=0.0,
                              metavar="SECONDS",
                              help="with --verbose: print at most one "
                                   "progress line per SECONDS (default 0: "
@@ -1054,7 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default 127.0.0.1: loopback only; "
                                   "binding 0.0.0.0 exposes the dashboard "
                                   "to the network — it has no auth)")
-        command.add_argument("--watch-linger", type=float, default=0.0,
+        command.add_argument("--watch-linger", type=_seconds, default=0.0,
                              metavar="SECONDS",
                              help="keep the --watch server up SECONDS "
                                   "after the campaign finishes (so CI or "
@@ -1083,8 +1086,11 @@ def build_parser() -> argparse.ArgumentParser:
                           default="arch_handle_trap")
     campaign.add_argument("--cpu", type=int, default=1,
                           help="CPU filter (omit with --cpu -1 for no filter)")
-    campaign.add_argument("--scenario", choices=SCENARIOS.keys(),
-                          default="steady-state")
+    campaign.add_argument("--scenario", metavar="KEY",
+                          default="steady-state",
+                          help="scenario, by registry name (steady-state, "
+                               "lifecycle, repeated-lifecycle, "
+                               "park-and-recover); see 'repro-fi list'")
     campaign.add_argument("--tests", type=int, default=20)
     campaign.add_argument("--duration", type=float, default=30.0)
     campaign.add_argument("--seed", type=int, default=0)
@@ -1233,17 +1239,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max specs per lease shard (default 8); whole "
                             "prefix families stay together so each worker "
                             "runs each family's prefix once")
-    serve.add_argument("--lease-ttl", type=float, default=15.0,
+    serve.add_argument("--lease-ttl", type=_seconds, default=15.0,
                        metavar="SECONDS",
                        help="lease expires if not renewed by a heartbeat "
                             "within SECONDS (default 15); expired shards "
                             "requeue with exponential backoff")
-    serve.add_argument("--heartbeat-interval", type=float, default=5.0,
+    serve.add_argument("--heartbeat-interval", type=_seconds, default=5.0,
                        metavar="SECONDS",
                        help="heartbeat cadence workers are told to use "
                             "(default 5 = TTL/3: a lease survives two "
                             "dropped heartbeats, not three)")
-    serve.add_argument("--steal-after", type=float, default=None,
+    serve.add_argument("--steal-after", type=_seconds, default=None,
                        metavar="SECONDS",
                        help="an idle worker may steal a leased shard whose "
                             "holder reported no progress for SECONDS "
@@ -1257,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit once every submitted campaign is "
                             "complete (for CI and scripts; default: serve "
                             "until interrupted)")
-    serve.add_argument("--linger", type=float, default=3.0,
+    serve.add_argument("--linger", type=_seconds, default=3.0,
                        metavar="SECONDS",
                        help="with --until-done: keep serving SECONDS after "
                             "completion so 'submit --wait' clients can "

@@ -36,7 +36,7 @@ _EXPORTS = {
     "resolve_sut_factory": "repro.core.registry",
     "Experiment": "repro.core.experiment",
     "ExperimentRecord": "repro.core.recording",
-    "ExperimentResult": "repro.core.experiment",
+    "ExperimentResult": "repro.core.outcomes",
     "ExperimentSpec": "repro.core.experiment",
     "FaultInjector": "repro.core.injection",
     "FaultModel": "repro.core.faultmodels",

@@ -19,15 +19,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.core.faultmodels import FaultModel, RegisterClassBitFlip, SingleBitFlip
 from repro.core.injection import FaultInjector
 from repro.core.outcomes import (
     ClassifiedOutcome,
+    ExperimentResult,
     ManagementEvidence,
-    Outcome,
     OutcomeClassifier,
     OutcomeEvidence,
 )
@@ -201,49 +201,6 @@ class ExperimentSpec:
             parts.append(f"settle={self.settle_time:g}")
         payload = "|".join(parts)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass
-class ExperimentResult:
-    """Outcome and bookkeeping of one experiment."""
-
-    spec_name: str
-    outcome: Outcome
-    rationale: str
-    injections: int
-    duration: float
-    seed: int
-    scenario: str
-    target: str
-    fault_model: str
-    intensity: str
-    register_class_counts: Dict[str, int] = field(default_factory=dict)
-    management: Optional[ManagementEvidence] = None
-    target_cell_lines: int = 0
-    root_cell_lines: int = 0
-    extras: Dict[str, object] = field(default_factory=dict)
-    wall_time: float = 0.0
-    #: How the engine's prefix fast-forward cache served this experiment:
-    #: ``True`` = forked from a cached pre-injection snapshot, ``False`` =
-    #: this run executed (and cached) its family's prefix, ``None`` = the
-    #: cache was off or bypassed. Execution bookkeeping only — deliberately
-    #: excluded from :class:`~repro.core.recording.ExperimentRecord`, so
-    #: cached and cold campaigns stay record-for-record identical.
-    prefix_cache_hit: Optional[bool] = None
-    #: Wall-clock seconds spent reaching the injection point — the golden
-    #: bring-up on a cold run, or the snapshot fork on a prefix-cache hit.
-    #: The post-injection time is ``wall_time - prefix_wall_time``. Like
-    #: :attr:`prefix_cache_hit`, execution bookkeeping only: excluded from
-    #: records so instrumented and bare campaigns persist identical data.
-    prefix_wall_time: Optional[float] = None
-    #: OS pid of the worker process that executed this experiment (the
-    #: parent's own pid for in-process runs); ``None`` for restored records.
-    #: Telemetry uses it for per-worker utilization. Not persisted.
-    worker_id: Optional[int] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.outcome.is_failure
 
 
 #: Factory building a fresh system under test for a given seed.

@@ -15,17 +15,22 @@ The paper's results are expressed in a small vocabulary of per-test outcomes:
 The classifier derives one outcome per experiment from the collected
 evidence, with a documented precedence (system-wide failures dominate
 cell-local ones, which dominate availability-only findings).
+
+:class:`ExperimentResult`, one experiment's outcome and bookkeeping, lives
+here too, so that reading records loads none of the simulator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.monitors import AvailabilityReport, HypervisorObservation
 from repro.core.registry import CLASSIFIERS
 from repro.hypervisor.traps import UNHANDLED_TRAP_ERROR
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.monitors import AvailabilityReport, HypervisorObservation
 
 
 class Outcome(enum.Enum):
@@ -116,6 +121,49 @@ class ManagementEvidence:
                 self.start_rejections += 1
                 self.start_succeeded = False
                 self.start_code = attempt.start_code
+
+
+@dataclass
+class ExperimentResult:
+    """Outcome and bookkeeping of one experiment."""
+
+    spec_name: str
+    outcome: Outcome
+    rationale: str
+    injections: int
+    duration: float
+    seed: int
+    scenario: str
+    target: str
+    fault_model: str
+    intensity: str
+    register_class_counts: Dict[str, int] = field(default_factory=dict)
+    management: Optional[ManagementEvidence] = None
+    target_cell_lines: int = 0
+    root_cell_lines: int = 0
+    extras: Dict[str, object] = field(default_factory=dict)
+    wall_time: float = 0.0
+    #: How the engine's prefix fast-forward cache served this experiment:
+    #: ``True`` = forked from a cached pre-injection snapshot, ``False`` =
+    #: this run executed (and cached) its family's prefix, ``None`` = the
+    #: cache was off or bypassed. Execution bookkeeping only — deliberately
+    #: excluded from :class:`~repro.core.recording.ExperimentRecord`, so
+    #: cached and cold campaigns stay record-for-record identical.
+    prefix_cache_hit: Optional[bool] = None
+    #: Wall-clock seconds spent reaching the injection point — the golden
+    #: bring-up on a cold run, or the snapshot fork on a prefix-cache hit.
+    #: The post-injection time is ``wall_time - prefix_wall_time``. Like
+    #: :attr:`prefix_cache_hit`, execution bookkeeping only: excluded from
+    #: records so instrumented and bare campaigns persist identical data.
+    prefix_wall_time: Optional[float] = None
+    #: OS pid of the worker process that executed this experiment (the
+    #: parent's own pid for in-process runs); ``None`` for restored records.
+    #: Telemetry uses it for per-worker utilization. Not persisted.
+    worker_id: Optional[int] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.outcome.is_failure
 
 
 @dataclass

@@ -20,8 +20,12 @@ from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.experiment import ExperimentResult
-from repro.core.outcomes import OUTCOME_BY_VALUE, ManagementEvidence, Outcome
+from repro.core.outcomes import (
+    OUTCOME_BY_VALUE,
+    ExperimentResult,
+    ManagementEvidence,
+    Outcome,
+)
 from repro.errors import AnalysisError, RecordSchemaError
 
 RECORD_SCHEMA_VERSION = 1

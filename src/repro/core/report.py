@@ -13,7 +13,7 @@ million-record stores without materializing them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional
 
 from repro.analysis.streaming import (
     StreamAnalysis,
@@ -25,9 +25,11 @@ from repro.core.analysis import (
     OutcomeTally,
     outcome_distribution,
 )
-from repro.core.campaign import CampaignResult
 from repro.core.outcomes import Outcome
 from repro.core.recording import ExperimentRecord
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.campaign import CampaignResult
 
 BAR_WIDTH = 40
 

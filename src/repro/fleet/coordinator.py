@@ -150,9 +150,10 @@ class FleetCoordinator:
                  backoff_s: float = DEFAULT_BACKOFF_S,
                  telemetry: "Telemetry | None" = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if lease_ttl_s <= 0:
+        # ``not x > 0`` refuses NaN too, which would make a lease never expire.
+        if not lease_ttl_s > 0:
             raise FleetError(f"lease TTL must be positive, got {lease_ttl_s}")
-        if heartbeat_interval_s <= 0:
+        if not heartbeat_interval_s > 0:
             raise FleetError(
                 f"heartbeat interval must be positive, got "
                 f"{heartbeat_interval_s}")

@@ -12,8 +12,8 @@ configurations read like genuine Jailhouse configs for this board.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import HardwareError
 from repro.hw.clock import SimulationClock

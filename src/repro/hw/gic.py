@@ -9,7 +9,7 @@ which is one of the three injection points profiled by the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import InterruptError

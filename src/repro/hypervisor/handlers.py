@@ -13,7 +13,7 @@ guest context at the top of each handler, which is exactly where the paper's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.hw.cpu import CpuCore, CpuState
@@ -24,8 +24,12 @@ from repro.hw.registers import (
     Register,
     TrapContext,
 )
-from repro.hypervisor.hypercalls import HypercallRequest, HypercallResult, ReturnCode
+from repro.hypervisor.hypercalls import HypercallRequest
 from repro.hypervisor.traps import (
+    ALL_HANDLERS,
+    HANDLER_HVC,
+    HANDLER_IRQCHIP,
+    HANDLER_TRAP,
     ExceptionClass,
     UNHANDLED_TRAP_ERROR,
     decode_exception_class,
@@ -34,12 +38,6 @@ from repro.hypervisor.traps import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hypervisor.core import Hypervisor
-
-#: Names of the hookable handlers, as used by injection targets.
-HANDLER_IRQCHIP = "irqchip_handle_irq"
-HANDLER_TRAP = "arch_handle_trap"
-HANDLER_HVC = "arch_handle_hvc"
-ALL_HANDLERS = (HANDLER_IRQCHIP, HANDLER_TRAP, HANDLER_HVC)
 
 #: PSCI function identifiers (SMC calling convention) used for CPU hotplug.
 PSCI_CPU_ON = 0x8400_0003

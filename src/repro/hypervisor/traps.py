@@ -13,6 +13,14 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
+#: Names of the hookable handlers, as used by injection targets. They live
+#: here, not in :mod:`repro.hypervisor.handlers`, so that naming a handler
+#: (the CLI's ``--handler`` choices) loads no part of the simulator.
+HANDLER_IRQCHIP = "irqchip_handle_irq"
+HANDLER_TRAP = "arch_handle_trap"
+HANDLER_HVC = "arch_handle_hvc"
+ALL_HANDLERS = (HANDLER_IRQCHIP, HANDLER_TRAP, HANDLER_HVC)
+
 HSR_EC_SHIFT = 26
 HSR_EC_MASK = 0x3F
 HSR_ISS_MASK = (1 << 25) - 1

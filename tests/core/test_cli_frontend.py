@@ -737,11 +737,32 @@ class TestErrorFunnel:
           "--offline-grace", "nan", "--until-done"], "--offline-grace"),
         (["submit", "http://127.0.0.1:9", "fig3", "--tests", "1",
           "--duration", "1", "--wait", "--poll", "-1"], "--poll"),
+        # An infinite linger overflowed sleep() after the campaign ran and
+        # before its records were saved; a negative one ended serve in a
+        # traceback before its status lines; a NaN TTL or heartbeat made
+        # every lease's expiry NaN, so no lease ever expired.
+        (["fig3", "--tests", "1", "--duration", "1", "--watch", "0",
+          "--watch-linger", "inf", "--output", "{tmp}/records.jsonl"],
+         "--watch-linger"),
+        (["run", "fig3", "--tests", "1", "--duration", "1", "--verbose",
+          "--progress-interval", "nan", "--output", "{tmp}/records.jsonl"],
+         "--progress-interval"),
+        (["serve", "--until-done", "--linger", "-1", "--state-dir",
+          "{tmp}/state"], "--linger"),
+        (["serve", "--lease-ttl", "nan", "--state-dir", "{tmp}/state"],
+         "--lease-ttl"),
+        (["serve", "--heartbeat-interval", "nan", "--state-dir",
+          "{tmp}/state"], "--heartbeat-interval"),
+        (["serve", "--steal-after", "-1", "--state-dir", "{tmp}/state"],
+         "--steal-after"),
     ], ids=["serve-port", "watch-port", "fig3-watch", "run-watch-negative",
             "fleet-worker-url", "fleet-status-url", "submit-url",
             "watch-poll-negative", "watch-timeout-nan",
             "fleet-worker-poll-negative", "fleet-worker-grace-nan",
-            "submit-poll-negative"])
+            "submit-poll-negative", "fig3-watch-linger-inf",
+            "run-progress-interval-nan", "serve-linger-negative",
+            "serve-lease-ttl-nan", "serve-heartbeat-nan",
+            "serve-steal-after-negative"])
     def test_a_bad_port_url_or_seconds_value_is_a_usage_error(self, tmp_path,
                                                               argv, named):
         # Refused by the parser: no server binds, no worker joins, no
@@ -753,6 +774,21 @@ class TestErrorFunnel:
         last = completed.stderr.strip().splitlines()[-1]
         assert f"error: argument {named}:" in last
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_unknown_scenario_is_a_registry_error(self, tmp_path):
+        # Checked against the registry before any experiment runs, with the
+        # same suggestions as an unknown key in a config file.
+        output = tmp_path / "records.jsonl"
+        completed = run_repro("campaign", "--scenario", "steady-stat",
+                              "--tests", "1", "--duration", "1",
+                              "--output", str(output))
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stdout == ""
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "'steady-stat'" in lines[0] and "steady-state" in lines[0]
+        assert not output.exists()
 
     def test_the_readme_names_every_usage_error_class(self):
         def subclasses(cls):

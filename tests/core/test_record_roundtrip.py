@@ -8,6 +8,7 @@ not exist yet.
 
 import json
 import os
+import pickle
 import stat
 
 import pytest
@@ -192,6 +193,30 @@ class TestResultConversions:
         # The rebuilt result holds its own dicts, not the record's.
         assert rebuilt.extras is not record.extras
         assert rebuilt.register_class_counts is not record.register_class_counts
+
+
+    def test_the_result_is_one_class_that_pickles_unchanged(self):
+        # It lives with the outcome vocabulary, so that record readers need
+        # not import the experiment runner; the old path still reaches it.
+        import repro
+        import repro.core
+        import repro.core.outcomes
+
+        assert (ExperimentResult is repro.core.outcomes.ExperimentResult
+                is repro.core.ExperimentResult is repro.ExperimentResult)
+        result = ExperimentResult(
+            spec_name="s", outcome=Outcome.PANIC_PARK, rationale="why",
+            injections=2, duration=3.0, seed=5, scenario="steady_state",
+            target="arch_handle_trap", fault_model="single bit flip",
+            intensity="medium", register_class_counts={"lr": 2},
+            management=ManagementEvidence(create_attempted=True,
+                                          create_succeeded=True),
+            extras={"spec_id": "abc"}, wall_time=0.25,
+            prefix_wall_time=0.125, worker_id=4)
+        restored = pickle.loads(pickle.dumps(result))
+        assert type(restored) is ExperimentResult
+        assert restored == result
+        assert restored.outcome is Outcome.PANIC_PARK
 
 
 class TestSaveCreatesDirectories:

@@ -214,6 +214,21 @@ class TestPoisonSpec:
         assert records[2]["extras"]["spec_id"] == plan.specs[2].identity()
 
 
+class TestSettings:
+    @pytest.mark.parametrize("settings", [
+        {"lease_ttl_s": float("nan")},
+        {"heartbeat_interval_s": float("nan")},
+        {"lease_ttl_s": 0.0},
+    ], ids=["lease-ttl-nan", "heartbeat-nan", "lease-ttl-zero"])
+    def test_a_period_that_is_not_positive_is_refused(self, tmp_path,
+                                                      settings):
+        # A NaN TTL passed a ``<= 0`` check: every lease's expiry became
+        # NaN, and no lease ever expired.
+        with pytest.raises(FleetError, match="must be positive"):
+            FleetCoordinator(tmp_path / "state", **settings)
+        assert not (tmp_path / "state").exists()
+
+
 class TestRejoin:
     def test_unknown_host_is_told_to_rejoin_not_errored(self, tmp_path):
         coordinator = FleetCoordinator(tmp_path / "state", shard_size=2)

@@ -2,8 +2,10 @@
 
 Reading records, ``list`` and ``--help`` must not load numpy, the worker
 pool or the assessment, telemetry, fleet and checker layers: those commands
-then start faster and run where numpy is not installed. A campaign at
-``--jobs 1`` loads numpy (its experiments draw from it) but no worker pool.
+then start faster and run where numpy is not installed. The commands that
+read records, and ``--help``, load no part of the simulator either. A
+campaign at ``--jobs 1`` loads numpy (its experiments draw from it) but no
+worker pool.
 Every case runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds everything.
 """
@@ -40,9 +42,16 @@ with open(out, "w") as handle:
 DEFERRED = ("numpy", "multiprocessing", "repro.safety", "repro.obs.telemetry",
             "repro.fleet", "repro.check")
 
+#: The simulator and the campaign stack above it, which no command that
+#: reads records may load.
+SIMULATOR = ("repro.hw", "repro.guests", "repro.hypervisor.core",
+             "repro.hypervisor.handlers", "repro.core.monitors",
+             "repro.core.sut", "repro.core.experiment", "repro.core.config",
+             "repro.core.campaign", "repro.engine")
+
 
 def probe(tmp_path, *argv, block_numpy=False):
-    """``(exit code, loaded module names, stderr)`` of one CLI command."""
+    """``(exit code, loaded module names, stderr, stdout)`` of one command."""
     out = tmp_path / "probe.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -52,7 +61,8 @@ def probe(tmp_path, *argv, block_numpy=False):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr
     result = json.loads(out.read_text())
-    return result["code"], set(result["modules"]), completed.stderr
+    return (result["code"], set(result["modules"]), completed.stderr,
+            completed.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +96,44 @@ class TestImportBoundary:
     def test_read_side_commands_load_no_deferred_module(
             self, command, stores, tmp_path):
         argv = [arg.format(a=stores[0], b=stores[1]) for arg in command]
-        code, modules, _ = probe(tmp_path, *argv)
+        code, modules, _, _ = probe(tmp_path, *argv)
         assert code == 0
         assert sorted(modules.intersection(DEFERRED)) == []
 
+    @pytest.mark.parametrize("command, codes", [
+        (["analyze", "{a}", "--format", "json"], (0,)),
+        (["analyze", "{a}"], (0,)),
+        (["analyze", "{a}", "--format", "markdown"], (0,)),
+        (["report", "{a}"], (0,)),
+        (["compare", "{a}", "{b}"], (0,)),
+        (["merge", "{a}", "{b}", "-o", "merged.jsonl"], (0,)),
+        # 2: the evidence does not make the campaigns certification-ready.
+        (["seooc", "{a}", "{b}"], (0, 2)),
+        (["--help"], (0,)),
+        (["campaign", "--help"], (0,)),
+    ], ids=["analyze-json", "analyze-text", "analyze-markdown", "report",
+            "compare", "merge", "seooc", "help", "campaign-help"])
+    def test_reading_records_loads_no_simulator_module(
+            self, command, codes, stores, tmp_path):
+        argv = [arg.format(a=stores[0], b=stores[1]) for arg in command]
+        code, modules, err, _ = probe(tmp_path, *argv)
+        assert code in codes, err
+        assert sorted(modules.intersection(SIMULATOR)) == []
+
+    @pytest.mark.parametrize("argv, absent", [
+        # ``list`` describes every registry and catalog entry, which live
+        # in the simulator's modules; it runs nothing, so no engine.
+        (["list"], {"repro.core.campaign", "repro.engine"}),
+        (["run", "fig3", "--tests", "1", "--duration", "1"], set()),
+    ], ids=["list", "run"])
+    def test_list_and_run_load_the_simulator(self, argv, absent, tmp_path):
+        code, modules, err, _ = probe(tmp_path, *argv)
+        assert code == 0, err
+        assert sorted(set(SIMULATOR) - modules) == sorted(absent)
+
     def test_a_serial_campaign_loads_numpy_but_no_pool(self, tmp_path):
-        code, modules, _ = probe(tmp_path, "run", "fig3", "--tests", "1",
-                                 "--duration", "1", "--jobs", "1")
+        code, modules, _, _ = probe(tmp_path, "run", "fig3", "--tests", "1",
+                                    "--duration", "1", "--jobs", "1")
         assert code == 0
         assert "numpy" in modules
         assert "multiprocessing" not in modules
@@ -103,8 +144,15 @@ class TestWithoutNumpy:
         for argv in (["analyze", stores[0]], ["report", stores[0]],
                      ["compare", *stores], ["list"],
                      ["merge", *stores, "-o", "merged.jsonl"]):
-            code, _, err = probe(tmp_path, *argv, block_numpy=True)
+            code, _, err, _ = probe(tmp_path, *argv, block_numpy=True)
             assert code == 0, (argv, err)
+        # The certification report exits 2 when the campaigns it reads are
+        # not certification-ready; either way it renders in full.
+        code, _, err, out = probe(tmp_path, "seooc", *stores,
+                                  block_numpy=True)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        assert out.startswith("SEooC assessment evidence")
 
     @pytest.mark.parametrize("argv", [
         ["run", "fig3", "--tests", "1", "--duration", "1",
@@ -115,7 +163,7 @@ class TestWithoutNumpy:
     ], ids=["run", "fig3-pool-resume", "golden"])
     def test_experiments_stop_on_one_error_before_running(
             self, argv, tmp_path):
-        code, _, err = probe(tmp_path, *argv, block_numpy=True)
+        code, _, err, _ = probe(tmp_path, *argv, block_numpy=True)
         assert code == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
