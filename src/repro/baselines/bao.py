@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.core.registry import SUTS
 from repro.core.sut import JailhouseSUT, SutConfig, SystemUnderTest
-from repro.hw.board import BananaPiBoard, BoardConfig
 from repro.hypervisor.cli import JailhouseCli
 from repro.hypervisor.core import Hypervisor
 

@@ -18,7 +18,7 @@ That makes the convention machine-checked instead of a docstring promise.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Iterator, Set
 
 from repro.check import astutil
 from repro.check.findings import Finding

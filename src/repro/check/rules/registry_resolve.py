@@ -27,7 +27,7 @@ except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback
 from repro.check import astutil
 from repro.check.findings import Finding
 from repro.check.rule import Rule
-from repro.check.source import Project, SourceFile
+from repro.check.source import Project
 
 #: Registry variable name -> human axis name.
 REGISTRY_AXES = {

@@ -19,7 +19,7 @@ carry an inline suppression on their ``__init__`` assignment.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.check import astutil
 from repro.check.findings import Finding

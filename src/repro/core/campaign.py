@@ -17,7 +17,6 @@ from repro.core.experiment import (
     Experiment,
     ExperimentResult,
     ExperimentSpec,
-    Scenario,
     SutFactory,
     default_sut_factory,
 )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.experiment import ExperimentSpec, PAPER_TEST_DURATION
 from repro.core.plan import IntensityLevel, TestPlan

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.core.faultmodels import FaultModel, RegisterClassBitFlip, SingleBitFlip
+from repro.core.faultmodels import FaultModel, RegisterClassBitFlip
 from repro.core.injection import FaultInjector
 from repro.core.outcomes import (
     ClassifiedOutcome,

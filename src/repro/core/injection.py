@@ -9,7 +9,7 @@ activation is recorded for later analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.faultmodels import AppliedFault, FaultModel

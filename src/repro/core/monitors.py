@@ -10,11 +10,11 @@ hypervisor's event log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hw.uart import Uart
-from repro.hypervisor.core import Hypervisor, HypervisorEvent, HypervisorEventKind
+from repro.hypervisor.core import Hypervisor, HypervisorEventKind
 
 
 @dataclass(frozen=True)

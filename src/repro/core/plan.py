@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.core.experiment import ExperimentSpec, PAPER_TEST_DURATION, Scenario
 from repro.core.faultmodels import FaultModel, MultiRegisterBitFlip, SingleBitFlip

@@ -14,11 +14,14 @@ drives all six conversions (``from_result``/``to_result``,
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.core.outcomes import (
     OUTCOME_BY_VALUE,
@@ -35,6 +38,10 @@ RECORD_SCHEMA_VERSION = 1
 #: :meth:`ExperimentRecord.from_json` rejects the line holding it like any
 #: other malformed line.
 DECODE_ERRORS = "surrogateescape"
+
+#: ``json.JSONDecoder().raw_decode``: one JSON value from the start of a
+#: string, and the index where it ends.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -131,11 +138,20 @@ class ExperimentRecord:
                 # A lone surrogate: a byte that was not UTF-8 on disk.
                 raise AnalysisError("record line is not valid UTF-8") from None
         try:
-            payload = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, and the integer-length limit and nesting
-            # depth the decoder enforces outside it.
-            raise AnalysisError(f"malformed record line: {exc}") from exc
+            payload, end = _raw_decode(line)
+        except (ValueError, RecursionError):
+            end = None
+        if end != len(line) and (end is None or line[end:].strip(" \t\n\r")):
+            # Not one JSON value followed by nothing but JSON whitespace
+            # (``watch`` keeps each line's newline): ``json.loads`` decides,
+            # so leading whitespace, a BOM and every error message are
+            # handled as they always were.
+            try:
+                payload = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, and the integer-length limit and nesting
+                # depth the decoder enforces outside it.
+                raise AnalysisError(f"malformed record line: {exc}") from exc
         return cls.from_dict(payload)
 
     @classmethod
@@ -160,35 +176,37 @@ class ExperimentRecord:
                     f"supported version {RECORD_SCHEMA_VERSION}; this record "
                     f"was written by a newer repro and its fields could be "
                     f"misinterpreted — upgrade before analyzing it")
-        # One pass over the field table: type-check each value and set it
-        # in field order, without the generated ``__init__`` (its keyword
-        # matching alone costs as much as ``json.loads``). Every field is
-        # set, and a default dict is a fresh one per record.
-        record = object.__new__(cls)
-        set_field = object.__setattr__      # the frozen class's one raises
-        defaulted = 0
-        for name, types, default in _FIELDS:
-            try:
-                value = payload[name]
-            except KeyError:
-                if default is None:
-                    raise _field_error(payload) from None
-                value = default()
-                defaulted += 1
-            else:
-                if type(value) not in types:
-                    raise _field_error(payload)
-            set_field(record, name, value)
-        # Every key was a field exactly when the payload holds as many keys
-        # as the pass took from it, besides ``schema_version``.
-        if (len(payload) - ("schema_version" in payload)
-                != len(_FIELDS) - defaulted
-                or record.outcome not in OUTCOME_BY_VALUE):
+        # Check every field at once with a few C-level calls, and fill the
+        # record without the generated ``__init__``, whose keyword matching
+        # alone costs as much as ``json.loads``. On any failure,
+        # ``_field_error`` names the first problem.
+        row = payload
+        if len(row) - ("schema_version" in row) < len(_FIELDS):
+            # A line that leaves out defaulted fields: each gets a fresh one.
+            row = {name: default() for name, _, default in _FIELDS
+                   if default is not None}
+            row.update(payload)
+        # Every key is a field exactly when there are as many keys as
+        # fields, besides ``schema_version``, and each field has one.
+        if len(row) - ("schema_version" in row) != len(_FIELDS):
             raise _field_error(payload)
-        for count in record.register_class_counts.values():
+        try:
+            values = _field_values(row)
+        except KeyError:
+            raise _field_error(payload) from None
+        if (tuple(map(type, values)) not in _ROW_TYPES
+                or row["outcome"] not in OUTCOME_BY_VALUE):
+            raise _field_error(payload)
+        for count in row["register_class_counts"].values():
             if type(count) is not int:
                 raise _field_error(payload)
-        set_field(record, "schema_version", RECORD_SCHEMA_VERSION)
+        # In field order, as ``__init__`` sets them. Filling ``vars`` at
+        # once is faster than one ``object.__setattr__`` per field, and
+        # gives each record its own dict (about 80 bytes more per record).
+        record = object.__new__(cls)
+        fields = vars(record)
+        fields.update(zip(_FIELD_NAMES, values))
+        fields["schema_version"] = RECORD_SCHEMA_VERSION
         return record
 
 
@@ -215,7 +233,7 @@ def _field_default(spec) -> Optional[Callable[[], object]]:
 
 #: ``(name, accepted JSON types, default factory or None if required)`` of
 #: every field a record line may carry, in field order: the one table every
-#: conversion walks. ``schema_version`` is checked before the decoding pass,
+#: conversion walks. ``schema_version`` is checked before the other fields,
 #: and always set to the current version.
 _FIELDS: Tuple[Tuple[str, Tuple[type, ...],
                      Optional[Callable[[], object]]], ...] = tuple(
@@ -226,14 +244,24 @@ _FIELDS: Tuple[Tuple[str, Tuple[type, ...],
 #: Every field name of a record line, ``schema_version`` last.
 _NAMES: Tuple[str, ...] = tuple(ExperimentRecord.__dataclass_fields__)
 
+#: The names of :data:`_FIELDS`, in field order.
+_FIELD_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in _FIELDS)
+
+#: The values of :data:`_FIELDS` from a record object, as a tuple.
+_field_values = operator.itemgetter(*_FIELD_NAMES)
+
+#: Every accepted tuple of the exact types of those values.
+_ROW_TYPES: FrozenSet[Tuple[type, ...]] = frozenset(
+    itertools.product(*(types for _, types, _ in _FIELDS)))
+
 #: The fields :class:`ExperimentResult` carries under the same name.
 _SHARED: Tuple[str, ...] = tuple(
-    name for name, _, _ in _FIELDS
+    name for name in _FIELD_NAMES
     if name in ExperimentResult.__dataclass_fields__)
 
 #: The summary flags a result holds in its :class:`ManagementEvidence`.
 _MANAGEMENT: Tuple[str, ...] = tuple(
-    name for name, _, _ in _FIELDS
+    name for name in _FIELD_NAMES
     if name not in _SHARED and name in ManagementEvidence.__dataclass_fields__)
 
 

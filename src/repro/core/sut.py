@@ -15,7 +15,7 @@ benchmark can run identical campaigns against them.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.injection import FaultInjector

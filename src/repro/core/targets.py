@@ -9,7 +9,7 @@ cell effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.registry import TARGETS

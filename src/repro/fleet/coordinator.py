@@ -58,7 +58,6 @@ from repro.fleet.lease import (
 from repro.fleet.protocol import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
     DEFAULT_LEASE_TTL_S,
-    FLEET_SCHEMA,
     envelope,
     require_fields,
     validate_message,

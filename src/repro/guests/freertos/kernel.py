@@ -10,7 +10,7 @@ medium-intensity campaign injects into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.registry import GUESTS

@@ -10,7 +10,7 @@ traps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import SchedulerError

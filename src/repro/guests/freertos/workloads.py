@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.registry import WORKLOADS
 from repro.guests.freertos.kernel import FreeRTOSKernel, KernelConfig
-from repro.guests.freertos.queue import MessageQueue
 from repro.guests.freertos.task import EffectKind, Task, TaskEffect
 
 #: Number of integer arithmetic tasks in the paper's workload.

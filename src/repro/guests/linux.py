@@ -11,7 +11,7 @@ signature the paper calls "panic park".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.registry import GUESTS
 from repro.guests.base import GuestEvent, GuestOS, GuestState

@@ -10,7 +10,7 @@ whole-system panic park.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import CpuStateError

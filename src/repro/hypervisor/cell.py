@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, Optional, Set, TYPE_CHECKING
 
 from repro.errors import CellStateError
 from repro.hypervisor.config import CellConfig

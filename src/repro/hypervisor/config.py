@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.hw.memory import MemoryFlags

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from repro.errors import CellStateError, ConfigurationError, HypervisorError
+from repro.errors import ConfigurationError, HypervisorError
 from repro.hw.board import BananaPiBoard
 from repro.hw.cpu import CpuCore, CpuState
 from repro.hw.registers import (
@@ -29,7 +29,7 @@ from repro.hw.registers import (
     is_valid_guest_cpsr,
     make_cpsr,
 )
-from repro.hypervisor.cell import Cell, CellState, LoadedImage
+from repro.hypervisor.cell import Cell, CellState
 from repro.hypervisor.config import CellConfig, SystemConfig
 from repro.hypervisor.handlers import ArchHandlers, PSCI_CPU_ON, TrapResult
 from repro.hypervisor.hypercalls import (

@@ -4,8 +4,8 @@ Every draw an experiment makes comes from a generator :func:`seeded_rng`
 creates: the guests' streams (``GuestOS.rng``), the fault injector's, and
 random sampling in ``CampaignConfig.compile``. numpy is imported by the
 first call, not by ``import repro``: reading records (``analyze``,
-``report``, ``compare``), ``list`` and ``check`` never draw, so they run
-without numpy installed.
+``report``, ``compare``, ``merge``, ``seooc``), ``list`` and ``check`` never
+draw, so they run without numpy installed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def seeded_rng(seed) -> "Generator":
     except ImportError as exc:
         raise DependencyError(
             f"running experiments needs numpy, which cannot be imported "
-            f"({exc}); install numpy, or use analyze, report, compare, list "
-            f"and check, which work without it") from None
+            f"({exc}); install numpy, or use analyze, report, compare, "
+            f"merge, seooc, list and check, which work without it") from None
     return default_rng(seed)
 

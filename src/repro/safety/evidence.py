@@ -9,13 +9,13 @@ the hypervisor towards a potential certification process".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional
 
 from repro.core.recording import ExperimentRecord
 from repro.errors import SafetyAssessmentError
 from repro.safety.failure_modes import FmeaEntry, fmea_table, format_fmea
 from repro.safety.metrics import IsolationMetrics, compute_isolation_metrics
-from repro.safety.seooc import AssumptionStatus, AssumptionVerdict, SeoocAssessment
+from repro.safety.seooc import AssumptionVerdict, SeoocAssessment
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.core.outcomes import Outcome
 from repro.core.recording import ExperimentRecord

@@ -17,9 +17,9 @@ from repro.core.experiment import (
     Experiment,
     ExperimentSpec,
     Scenario,
-    SingleBitFlip,
     default_sut_factory,
 )
+from repro.core.faultmodels import SingleBitFlip
 from repro.core.plan import paper_figure3_plan
 from repro.core.policy import RunPolicy
 from repro.core.sut import JailhouseSUT, SutConfig

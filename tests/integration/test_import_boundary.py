@@ -12,6 +12,7 @@ process already holds everything.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,4 +169,8 @@ class TestWithoutNumpy:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert "numpy" in lines[0]
+        # It names every command test_read_side_commands_still_work runs.
+        for command in ("analyze", "report", "compare", "list", "merge",
+                        "seooc"):
+            assert re.search(rf"\b{command}\b", lines[0]), (command, err)
         assert not (tmp_path / "records.jsonl").exists()
