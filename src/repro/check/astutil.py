@@ -175,6 +175,3 @@ def self_attr_reads(func: ast.AST) -> Set[str]:
     return {self_attr(node) for node in ast.walk(func)
             if self_attr(node) is not None}  # type: ignore[misc]
 
-
-def first_line(node: ast.AST, default: int = 1) -> int:
-    return getattr(node, "lineno", default)

@@ -101,7 +101,12 @@ from repro.analysis.streaming import (
 )
 from repro.core.outcomes import Outcome
 from repro.core.policy import RunPolicy
-from repro.core.recording import DECODE_ERRORS, ExperimentRecord, RecordStore
+from repro.core.recording import (
+    DECODE_ERRORS,
+    ExperimentRecord,
+    RecordStore,
+    record_lines,
+)
 from repro.core.registry import (
     CLASSIFIERS,
     FAULT_MODELS,
@@ -620,10 +625,12 @@ def _tail_lines(path: Path, *, poll_s: float, deadline: float,
     """Yield complete lines appended to ``path`` until ``deadline``.
 
     Reads from a remembered byte offset and only yields newline-terminated
-    lines, so a record the campaign is mid-way through writing is never
-    parsed half-done; the partial tail stays buffered until its newline
-    arrives. The file may not exist yet — the tailer waits for it. Bytes
-    that are not UTF-8 decode as ``DECODE_ERRORS`` stand-ins, so the caller's
+    lines, without their newline and blank ones included (the caller reads
+    them through ``record_lines``), so a record the campaign is mid-way
+    through writing is never parsed half-done; the partial tail stays
+    buffered until its newline arrives. The file may not exist yet — the
+    tailer waits for it. Bytes that are not UTF-8 decode as
+    ``DECODE_ERRORS`` stand-ins, so the caller's
     ``ExperimentRecord.from_json`` rejects that one line.
 
     The file shrinking under the reader (rotation, truncation, or a
@@ -650,8 +657,7 @@ def _tail_lines(path: Path, *, poll_s: float, deadline: float,
                 buffer += chunk
                 while b"\n" in buffer:
                     line, buffer = buffer.split(b"\n", 1)
-                    if line.strip():
-                        yield line.decode("utf-8", DECODE_ERRORS)
+                    yield line.decode("utf-8", DECODE_ERRORS)
         if time.monotonic() >= deadline:
             return
         time.sleep(poll_s)
@@ -696,12 +702,16 @@ def cmd_watch(args: argparse.Namespace) -> int:
               f"(metrics: {server.url}/metrics.json)", file=sys.stderr)
         seen = 0
         try:
-            for line in _tail_lines(records_path, poll_s=args.poll,
-                                    deadline=deadline, on_rotate=on_rotate):
+            for _, line in record_lines(_tail_lines(
+                    records_path, poll_s=args.poll, deadline=deadline,
+                    on_rotate=on_rotate)):
                 try:
                     record = ExperimentRecord.from_json(line)
                 except AnalysisError as exc:
-                    print(f"warning: skipping malformed record line: {exc}",
+                    # from_json words a JSON error "malformed record
+                    # line: ..." itself.
+                    reason = str(exc).removeprefix("malformed record line: ")
+                    print(f"warning: skipping malformed record line: {reason}",
                           file=sys.stderr)
                     continue
                 result = record.to_result()

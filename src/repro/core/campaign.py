@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.experiment import (
-    Experiment,
     ExperimentResult,
-    ExperimentSpec,
     SutFactory,
     default_sut_factory,
 )
@@ -232,9 +230,3 @@ class Campaign:
         if golden:
             campaign_result.golden = self.golden_run()
         return campaign_result
-
-    def run_single(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Execute one spec (used by tests and notebooks)."""
-        return Experiment(
-            spec, sut_factory=self.sut_factory, classifier=self.classifier
-        ).run()

@@ -43,6 +43,24 @@ DECODE_ERRORS = "surrogateescape"
 #: string, and the index where it ends.
 _raw_decode = json.JSONDecoder().raw_decode
 
+#: The whitespace JSON allows around a value. ``str.strip()`` would also
+#: drop a form feed, U+0085 or U+2028, none of which a record line may hold.
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def record_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line number, text)`` for each non-blank line of a record file.
+
+    The one line rule of every record reader (:class:`RecordStore`,
+    ``watch`` and the fleet client): ``lines`` end at ``"\\n"`` only, each is
+    stripped of JSON whitespace only, and a line left empty is skipped.
+    Numbers count from 1 and include the skipped lines.
+    """
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip(_JSON_WHITESPACE)
+        if line:
+            yield lineno, line
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -141,11 +159,12 @@ class ExperimentRecord:
             payload, end = _raw_decode(line)
         except (ValueError, RecursionError):
             end = None
-        if end != len(line) and (end is None or line[end:].strip(" \t\n\r")):
+        if end != len(line) and (
+                end is None or line[end:].strip(_JSON_WHITESPACE)):
             # Not one JSON value followed by nothing but JSON whitespace
-            # (``watch`` keeps each line's newline): ``json.loads`` decides,
-            # so leading whitespace, a BOM and every error message are
-            # handled as they always were.
+            # (a caller may pass a line with its newline): ``json.loads``
+            # decides, so leading whitespace, a BOM and every error message
+            # are handled as they always were.
             try:
                 payload = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -426,12 +445,9 @@ class RecordStore:
     def _iter_records(self, errors: str) -> Iterator[ExperimentRecord]:
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8",
-                            errors=DECODE_ERRORS) as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with self.path.open("r", encoding="utf-8", errors=DECODE_ERRORS,
+                            newline="\n") as handle:
+            for lineno, line in record_lines(handle):
                 try:
                     record = ExperimentRecord.from_json(line)
                 except AnalysisError as exc:
@@ -453,9 +469,9 @@ class RecordStore:
         """
         if not self.path.exists():
             return 0
-        with self.path.open("r", encoding="utf-8",
-                            errors=DECODE_ERRORS) as handle:
-            return sum(1 for line in handle if line.strip())
+        with self.path.open("r", encoding="utf-8", errors=DECODE_ERRORS,
+                            newline="\n") as handle:
+            return sum(1 for _ in record_lines(handle))
 
     def load(self) -> List[ExperimentRecord]:
         """Materialize every record in memory (convenience for small stores).

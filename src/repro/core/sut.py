@@ -144,10 +144,6 @@ class JailhouseSUT(SystemUnderTest):
         self.injectors: List[FaultInjector] = []
         self._lifecycle_done = False
         self._log_collector = LogCollector(self.board.uart)
-        #: Optional telemetry bus (:meth:`attach_telemetry`). ``None`` by
-        #: default: :meth:`run` checks it once per call, never per step, so
-        #: an uninstrumented SUT runs the exact historical hot path.
-        self.telemetry = None
 
     # -- setup ---------------------------------------------------------------------------
 
@@ -272,78 +268,16 @@ class JailhouseSUT(SystemUnderTest):
 
     # -- simulation loop ----------------------------------------------------------------------------
 
-    def attach_telemetry(self, bus) -> None:
-        """Attach a :class:`~repro.obs.telemetry.Telemetry` bus to this SUT.
-
-        While the bus is active, every :meth:`run` emits two aggregate
-        ``span`` events — ``sut.guest_step`` (the per-tick guest execution
-        loop) and ``sut.trap_dispatch`` (workload-generated trap handling) —
-        with total elapsed seconds and call counts for that run. An inactive
-        or absent bus costs one check per :meth:`run` call, never per step.
-        """
-        self.telemetry = bus
-
     def run(self, duration: float) -> None:
         """Drive the workload; stops early if the whole system panics."""
         steps = max(1, int(round(duration / self.config.timestep)))
         timestep = self.config.timestep
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.active:
-            self._run_instrumented(steps, timestep, telemetry)
-            return
         hypervisor = self.hypervisor
         step = self._step
         for _ in range(steps):
             if hypervisor.state is _PANICKED:
                 break
             step(timestep)
-
-    def _run_instrumented(self, steps: int, timestep: float,
-                          telemetry) -> None:
-        """The :meth:`run` loop with span instrumentation.
-
-        Timing wraps the existing :meth:`_step`/:meth:`_dispatch_guest_event`
-        rather than duplicating them (one hot path to keep correct); the
-        dispatch wrapper shadows the bound method for the duration of this
-        run only, and nested resume-fault dispatches are folded into their
-        depth-0 ancestor's time.
-        """
-        from time import perf_counter
-
-        hypervisor = self.hypervisor
-        step_elapsed = 0.0
-        step_count = 0
-        dispatch = {"elapsed": 0.0, "count": 0}
-        inner_dispatch = self._dispatch_guest_event
-
-        def timed_dispatch(cpu_id, guest, event, *, depth):
-            if depth > 0:
-                return inner_dispatch(cpu_id, guest, event, depth=depth)
-            started = perf_counter()
-            try:
-                return inner_dispatch(cpu_id, guest, event, depth=depth)
-            finally:
-                dispatch["elapsed"] += perf_counter() - started
-                dispatch["count"] += 1
-
-        self._dispatch_guest_event = timed_dispatch
-        try:
-            for _ in range(steps):
-                if hypervisor.state is _PANICKED:
-                    break
-                started = perf_counter()
-                self._step(timestep)
-                step_elapsed += perf_counter() - started
-                step_count += 1
-        finally:
-            del self._dispatch_guest_event
-        # repro: allow[telemetry-guard] -- run() only calls _run_instrumented when the bus is active (cross-function guard)
-        telemetry.emit("span", name="sut.guest_step",
-                       elapsed_s=step_elapsed, count=step_count)
-        # repro: allow[telemetry-guard] -- run() only calls _run_instrumented when the bus is active (cross-function guard)
-        telemetry.emit("span", name="sut.trap_dispatch",
-                       elapsed_s=dispatch["elapsed"],
-                       count=dispatch["count"])
 
     def _step(self, dt: float) -> None:
         # Hot path, 50 times per simulated second: attribute lookups hoisted,
@@ -367,9 +301,10 @@ class JailhouseSUT(SystemUnderTest):
             guest = cell.guest
             if guest is None or guest.state is not _GUEST_RUNNING:
                 continue
-            # Pending interrupts enter through irqchip_handle_irq().
+            # Pending interrupts enter through irqchip_handle_irq(), over
+            # the vCPU's live registers (the handler copies them for hooks).
             if gic_pending[cpu_id]:
-                context = cpu.enter_trap("irq", 0, timestamp=now)
+                context = cpu.enter_irq(timestamp=now)
                 result = handlers.irqchip_handle_irq(cpu, context)
                 if result is _HANDLED:
                     follow_up = guest.resume_from_trap(cpu_id, context)

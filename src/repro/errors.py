@@ -55,28 +55,12 @@ class CellStateError(HypervisorError):
     """A cell-management operation was attempted in an incompatible state."""
 
 
-class HypercallError(HypervisorError):
-    """A hypercall could not be dispatched."""
-
-
 class IsolationViolationError(HypervisorError):
     """A cell attempted to access a resource owned by another cell."""
 
 
-class HypervisorPanic(HypervisorError):
-    """The hypervisor hit an unrecoverable internal error (panic park)."""
-
-    def __init__(self, message: str, cpu_id: int | None = None) -> None:
-        self.cpu_id = cpu_id
-        super().__init__(message)
-
-
 class GuestError(ReproError):
     """Base class for errors raised by guest OS models."""
-
-
-class GuestCrashError(GuestError):
-    """A guest OS reached an unrecoverable state."""
 
 
 class SchedulerError(GuestError):

@@ -55,7 +55,7 @@ import urllib.parse
 import urllib.request
 from typing import Dict, List, Optional
 
-from repro.core.recording import DECODE_ERRORS, ExperimentRecord
+from repro.core.recording import DECODE_ERRORS, ExperimentRecord, record_lines
 from repro.errors import (
     AnalysisError,
     FleetError,
@@ -96,6 +96,24 @@ def validate_message(data: object, *, context: str = "fleet message") -> dict:
             f"(coordinator and workers must run compatible versions)"
         )
     return data
+
+
+def parse_records(raw: bytes) -> List[ExperimentRecord]:
+    """Decode a ``/fleet/records`` body, one record per non-blank line.
+
+    Lines follow :func:`~repro.core.recording.record_lines`, as every
+    record reader's do; a line that is not UTF-8, not JSON or not a record
+    is a :class:`FleetProtocolError` naming it.
+    """
+    records = []
+    for lineno, line in record_lines(
+            raw.decode("utf-8", DECODE_ERRORS).split("\n")):
+        try:
+            records.append(ExperimentRecord.from_json(line))
+        except AnalysisError as exc:
+            raise FleetProtocolError(
+                f"records response line {lineno}: {exc}") from None
+    return records
 
 
 def require_fields(data: object, fields: List[str], *,
@@ -235,9 +253,7 @@ class FleetClient:
     def records(self, campaign_id: str) -> List[ExperimentRecord]:
         """The campaign's merged records, in plan order.
 
-        Each line of the response is decoded by
-        :meth:`ExperimentRecord.from_json`; a line that is not UTF-8, not
-        JSON or not a record is a :class:`FleetProtocolError` naming it.
+        The response body is decoded by :func:`parse_records`.
         """
         url = f"{self.base_url}/fleet/records?campaign={campaign_id}"
         request = urllib.request.Request(url)
@@ -254,15 +270,4 @@ class FleetClient:
             raise FleetUnavailableError(
                 f"cannot reach fleet coordinator at {self.base_url}: "
                 f"{getattr(exc, 'reason', exc)}") from None
-        records = []
-        for lineno, line in enumerate(
-                raw.decode("utf-8", DECODE_ERRORS).splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(ExperimentRecord.from_json(line))
-            except AnalysisError as exc:
-                raise FleetProtocolError(
-                    f"records response line {lineno}: {exc}") from None
-        return records
+        return parse_records(raw)

@@ -82,7 +82,6 @@ class GuestStats:
     steps: int = 0
     traps_generated: int = 0
     uart_lines: int = 0
-    interrupts_received: int = 0
     faults_after_resume: int = 0
     silent_corruptions: int = 0
 
@@ -210,7 +209,6 @@ class GuestOS(abc.ABC):
 
     def on_interrupt(self, irq: int, cpu_id: int) -> None:
         """An interrupt owned by this cell was delivered."""
-        self.stats.interrupts_received += 1
 
     def on_cpu_online(self, cpu_id: int) -> None:
         """A CPU just came online for this guest's cell.
@@ -231,7 +229,9 @@ class GuestOS(abc.ABC):
 
         The returned event (if any) is dispatched immediately by the system
         under test, modelling the fact that a corrupted PC faults on the very
-        next instruction fetch.
+        next instruction fetch. ``context.registers`` may be the vCPU's live
+        register file (an interrupt entry without hooks), so an event built
+        after this method writes the vCPU states what the context held.
         """
         if self.cell is None:
             return None
@@ -254,7 +254,7 @@ class GuestOS(abc.ABC):
                 self.stats.faults_after_resume += 1
                 return GuestEvent(
                     trap=TrapCode.DATA_ABORT,
-                    registers=dict(context.registers),
+                    registers=dict(registers),
                     fault_address=sp,
                     description=f"stack access at unmapped 0x{sp:08x}",
                 )
@@ -266,9 +266,11 @@ class GuestOS(abc.ABC):
         if not memory_map.is_executable(lr):
             if self._random() < self.link_return_probability:
                 self.stats.faults_after_resume += 1
+                # The SP restore above may have written a live context:
+                # the event carries the SP the trap returned with.
                 return GuestEvent(
                     trap=TrapCode.PREFETCH_ABORT,
-                    registers=dict(context.registers),
+                    registers={**registers, _SP: sp},
                     fault_address=lr,
                     description=f"return to unmapped 0x{lr:08x}",
                 )

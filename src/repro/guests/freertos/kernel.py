@@ -257,7 +257,6 @@ class FreeRTOSKernel(GuestOS):
     # -- interrupts and panic -----------------------------------------------------------------------
 
     def on_interrupt(self, irq: int, cpu_id: int) -> None:
-        super().on_interrupt(irq, cpu_id)
         if self.ivshmem is not None and irq == self.ivshmem.doorbell_irq:
             self._drain_ivshmem(cpu_id)
 

@@ -1,7 +1,7 @@
 """CPU core model for the dual-core Cortex-A7.
 
-Each :class:`CpuCore` owns an architectural register file, a processor mode,
-and an availability state. The hypervisor uses the state machine to model CPU
+Each :class:`CpuCore` owns an architectural register file and an
+availability state. The hypervisor uses the state machine to model CPU
 hotplug (bringing the non-root cell's core online), ``cpu_park()`` (the
 reaction to an unhandled trap, error code 0x24 in the paper), and the
 whole-system panic park.
@@ -22,16 +22,6 @@ from repro.hw.registers import (
 )
 
 
-class CpuMode(enum.Enum):
-    """ARMv7 processor modes relevant to the model."""
-
-    USR = "usr"
-    SVC = "svc"
-    IRQ = "irq"
-    HYP = "hyp"
-    MON = "mon"
-
-
 class CpuState(enum.Enum):
     """Availability state of a core."""
 
@@ -45,8 +35,6 @@ class CpuState(enum.Enum):
 # Bound once for the trap entry/exit path (an enum class attribute lookup
 # costs several times a module global).
 _ONLINE = CpuState.ONLINE
-_HYP = CpuMode.HYP
-_SVC = CpuMode.SVC
 
 
 @dataclass(frozen=True)
@@ -71,11 +59,12 @@ class CpuCore:
     def __init__(self, cpu_id: int) -> None:
         self.cpu_id = cpu_id
         self.registers = RegisterFile()
-        self.mode = CpuMode.SVC
+        #: The register file's own dict, which every restore and reset
+        #: updates in place: an interrupt entry's context holds it live.
+        self._live = self.registers.live_values()
         self.state = CpuState.OFFLINE
         self.assigned_cell: Optional[int] = None
         self.park_history: List[ParkRecord] = []
-        self._trap_entries = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -86,7 +75,6 @@ class CpuCore:
         self.registers.reset()
         self.registers.write(Register.PC, entry_point)
         self.registers.write(Register.CPSR, make_cpsr(0b10011, irq_masked=False))
-        self.mode = CpuMode.SVC
         self.state = CpuState.ONLINE
         if cell_id is not None:
             self.assigned_cell = cell_id
@@ -94,7 +82,6 @@ class CpuCore:
     def power_off(self) -> None:
         """Take the core offline (models ``jailhouse cell shutdown``/hotunplug)."""
         self.state = CpuState.OFFLINE
-        self.mode = CpuMode.SVC
         self.assigned_cell = None
 
     def park(self, reason: str, *, timestamp: float = 0.0,
@@ -113,7 +100,6 @@ class CpuCore:
     def reset(self) -> None:
         """Warm reset: clears registers and returns the core to OFFLINE."""
         self.registers.reset()
-        self.mode = CpuMode.SVC
         self.state = CpuState.OFFLINE
         self.assigned_cell = None
 
@@ -133,32 +119,40 @@ class CpuCore:
 
         This models the CPU switching to HYP mode and the hypervisor saving the
         guest's registers on its per-CPU stack — the structure the paper's
-        fault injector corrupts.
+        fault injector corrupts. The context owns a copy: trap handlers write
+        results into it, and :meth:`exit_trap` loads it back.
         """
         if self.state is not _ONLINE:
             raise CpuStateError(
                 f"CPU {self.cpu_id} cannot trap in state {self.state.value}"
             )
-        self.mode = _HYP
-        self._trap_entries += 1
         return TrapContext.capture(self.cpu_id, self.registers.snapshot(),
                                    hsr, vector, timestamp)
+
+    def enter_irq(self, *, timestamp: float = 0.0) -> TrapContext:
+        """An interrupt entry whose context holds the live register file.
+
+        ``irqchip_handle_irq`` writes neither the context nor the vCPU, so
+        the copy :meth:`enter_trap` makes would be loaded back unchanged;
+        the handler copies the registers itself before it runs entry hooks.
+        """
+        if self.state is not _ONLINE:
+            raise CpuStateError(
+                f"CPU {self.cpu_id} cannot trap in state {self.state.value}"
+            )
+        return TrapContext.capture(self.cpu_id, self._live, 0, "irq", timestamp)
 
     def exit_trap(self, context: TrapContext) -> None:
         """Restore the (possibly corrupted) context and return to guest mode."""
         if self.state is not _ONLINE:
             # A handler may have parked or failed the CPU; nothing to restore.
             return
-        # The context's register dict holds masked values for (at least) every
-        # corruptible register; bulk-load it instead of rebuilding a dict via
-        # 17 read() calls — this runs a few times per simulation step.
-        self.registers.load_context(context.registers)
-        self.mode = _SVC
-
-    @property
-    def trap_entries(self) -> int:
-        """Total number of hypervisor entries taken by this core."""
-        return self._trap_entries
+        registers = context.registers
+        if registers is not self._live:
+            # The context's register dict holds masked values for (at least)
+            # every corruptible register; bulk-load it instead of rebuilding
+            # a dict via 17 read() calls.
+            self.registers.load_context(registers)
 
     # -- snapshot / restore -------------------------------------------------------
 
@@ -166,24 +160,20 @@ class CpuCore:
         """Capture architectural and availability state."""
         return {
             "registers": self.registers.snapshot(),
-            "mode": self.mode,
             "state": self.state,
             "assigned_cell": self.assigned_cell,
             "park_history": list(self.park_history),
-            "trap_entries": self._trap_entries,
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore a prior :meth:`snapshot_state` in place."""
         self.registers.load_context(state["registers"])
-        self.mode = state["mode"]
         self.state = state["state"]
         self.assigned_cell = state["assigned_cell"]
         self.park_history = list(state["park_history"])
-        self._trap_entries = state["trap_entries"]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CpuCore(id={self.cpu_id}, state={self.state.value}, "
-            f"mode={self.mode.value}, cell={self.assigned_cell})"
+            f"cell={self.assigned_cell})"
         )

@@ -40,8 +40,6 @@ class GicCpuInterface:
         self.priority_mask = 0xFF
         self.enabled = True
         self.active: Optional[int] = None
-        self.acked_count = 0
-        self.eoi_count = 0
 
     def acknowledge(self) -> int:
         """Pop the highest-priority pending interrupt, or the spurious id."""
@@ -51,7 +49,6 @@ class GicCpuInterface:
         if irq is None:
             return SPURIOUS_IRQ
         self.active = irq
-        self.acked_count += 1
         return irq
 
     def end_of_interrupt(self, irq: int) -> None:
@@ -61,7 +58,6 @@ class GicCpuInterface:
                 f"CPU {self.cpu_id}: EOI for IRQ {irq} but active is {self.active}"
             )
         self.active = None
-        self.eoi_count += 1
 
 
 class Gic:
@@ -216,7 +212,7 @@ class Gic:
             "targets": {irq: set(cpus) for irq, cpus in self._targets.items()},
             "pending": {cpu: list(queue) for cpu, queue in self._pending.items()},
             "interfaces": [
-                (i.priority_mask, i.enabled, i.active, i.acked_count, i.eoi_count)
+                (i.priority_mask, i.enabled, i.active)
                 for i in self.cpu_interfaces
             ],
         }
@@ -229,5 +225,5 @@ class Gic:
         self._targets = {irq: set(cpus) for irq, cpus in state["targets"].items()}
         self._pending = {cpu: list(queue) for cpu, queue in state["pending"].items()}
         for interface, snap in zip(self.cpu_interfaces, state["interfaces"]):
-            (interface.priority_mask, interface.enabled, interface.active,
-             interface.acked_count, interface.eoi_count) = snap
+            (interface.priority_mask, interface.enabled,
+             interface.active) = snap

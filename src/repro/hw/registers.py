@@ -215,6 +215,14 @@ class RegisterFile:
         """Return a copy of all register values."""
         return dict(self._values)
 
+    def live_values(self) -> Dict[Register, int]:
+        """The file's own register dict, not a copy.
+
+        Every method here updates it in place, so a holder sees each write
+        (the interrupt entry's context holds it; see ``CpuCore.enter_irq``).
+        """
+        return self._values
+
     def load(self, values: Dict[Register, int]) -> None:
         """Bulk-write register values."""
         for reg, value in values.items():

@@ -31,7 +31,6 @@ class GenericTimer:
         self._gic = gic
         self._handle: Optional[EventHandle] = None
         self._period: Optional[float] = None
-        self.fired = 0
 
     @property
     def running(self) -> bool:
@@ -57,7 +56,6 @@ class GenericTimer:
         self._period = None
 
     def _tick(self, now: float) -> None:
-        self.fired += 1
         self._gic.raise_irq(self.irq, cpu_id=self.cpu_id)
 
     # -- snapshot / restore ----------------------------------------------------
@@ -68,7 +66,6 @@ class GenericTimer:
             "running": self.running,
             "period": self._period,
             "due": self._handle.due if self.running else None,
-            "fired": self.fired,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -77,7 +74,6 @@ class GenericTimer:
             self._handle.cancel()
             self._handle = None
         self._period = state["period"]
-        self.fired = state["fired"]
         if state["running"]:
             delay = max(0.0, state["due"] - self._clock.now)
             self._handle = self._clock.schedule(

@@ -42,8 +42,6 @@ class CellStats:
     """Per-cell counters used by the analytics layer."""
 
     hypercalls: int = 0
-    traps: int = 0
-    interrupts: int = 0
     mmio_accesses: int = 0
     uart_lines: int = 0
     state_transitions: int = 0

@@ -57,6 +57,11 @@ CONFIG_STAGING_BASE = 0x4100_0000
 #: allocated-but-dead.
 BRINGUP_TRAP_STEPS = 150
 
+#: Syndromes of the management and bring-up entries, encoded once.
+_HVC_HSR = encode_hsr(TrapCode.HYPERCALL)
+_WFI_HSR = encode_hsr(TrapCode.WFI)
+_SMC_HSR = encode_hsr(TrapCode.SMC)
+
 
 class HypervisorState(enum.Enum):
     """Lifecycle state of the hypervisor."""
@@ -128,6 +133,12 @@ class Hypervisor:
         self.contains_guest_faults = contains_guest_faults
         self.escalate_parks_to_panic = escalate_parks_to_panic
         self.cells: Dict[int, Cell] = {}
+        #: CPU id -> the first cell in ``cells`` order that lists it: what
+        #: :meth:`cell_of_cpu` answers. CPUs change hands only in
+        #: :meth:`enable`, cell create and destroy, and :meth:`restore_state`;
+        #: each rebuilds it.
+        # repro: allow[snapshot-complete] -- derived index of the cells' CPU sets; restore_state rebuilds it from the restored cells
+        self._cpu_owners: Dict[int, Cell] = {}
         self.root_cell: Optional[Cell] = None
         self.events: List[HypervisorEvent] = []
         #: Timestamps parallel to ``events`` (non-decreasing: the simulation
@@ -158,6 +169,7 @@ class Hypervisor:
                 cpu.assigned_cell = root.cell_id
             root.cpu_online(cpu_id)
         self.cells[root.cell_id] = root
+        self._index_cpu_owners()
         self.root_cell = root
         self.state = HypervisorState.ENABLED
         self._record(HypervisorEventKind.ENABLED, cell_name=root.name,
@@ -194,10 +206,14 @@ class Hypervisor:
 
     def cell_of_cpu(self, cpu_id: int) -> Optional[Cell]:
         """Cell currently owning ``cpu_id`` (root included)."""
+        return self._cpu_owners.get(cpu_id)
+
+    def _index_cpu_owners(self) -> None:
+        owners: Dict[int, Cell] = {}
         for cell in self.cells.values():
-            if cpu_id in cell.cpus:
-                return cell
-        return None
+            for cpu_id in cell.cpus:
+                owners.setdefault(cpu_id, cell)
+        self._cpu_owners = owners
 
     def non_root_cells(self) -> List[Cell]:
         return [cell for cell in self.cells.values() if not cell.is_root]
@@ -241,9 +257,7 @@ class Hypervisor:
         cpu.registers.write(Register.R0, code)
         cpu.registers.write(Register.R1, arg1)
         cpu.registers.write(Register.R2, arg2)
-        context = cpu.enter_trap(
-            "hvc", encode_hsr(TrapCode.HYPERCALL), timestamp=self.board.clock.now
-        )
+        context = cpu.enter_trap("hvc", _HVC_HSR, timestamp=self.board.clock.now)
         result = self.handlers.arch_handle_hvc(cpu, context)
         raw = context.read(Register.R0)
         signed = raw - (1 << 32) if raw >= (1 << 31) else raw
@@ -344,6 +358,7 @@ class Hypervisor:
             cpu.assigned_cell = new_cell.cell_id
         self.root_cell.irqs -= config.irqs
         self.cells[new_cell.cell_id] = new_cell
+        self._index_cpu_owners()
         self._record(HypervisorEventKind.CELL_CREATED, cell_name=config.name,
                      cpu_id=request.cpu_id)
         self._console(f"Created cell \"{config.name}\"")
@@ -417,6 +432,7 @@ class Hypervisor:
                 self.root_cell.guest.on_cpu_online(cpu_id)
         self.root_cell.irqs |= target.config.irqs
         del self.cells[target.cell_id]
+        self._index_cpu_owners()
         self._record(HypervisorEventKind.CELL_DESTROYED, cell_name=target.name,
                      cpu_id=request.cpu_id)
         self._console(f"Closed cell \"{target.name}\"")
@@ -485,23 +501,24 @@ class Hypervisor:
                 Register.R2: entry,
                 Register.CPSR: make_cpsr(0b10011, irq_masked=True),
             },
-            hsr=encode_hsr(TrapCode.SMC),
+            hsr=_SMC_HSR,
             exception_vector="smc",
             timestamp=self.board.clock.now,
         )
         # Wait-loop iterations of the hotplug swap: each is a hypervisor entry
         # on the target CPU that preserves (and may expose to corruption) the
         # pending PSCI arguments.
+        arch_handle_trap = self.handlers.arch_handle_trap
         for _ in range(BRINGUP_TRAP_STEPS):
             context.exception_vector = "bringup"
-            context.hsr = encode_hsr(TrapCode.WFI)
-            self.handlers.arch_handle_trap(cpu, context)
+            context.hsr = _WFI_HSR
+            arch_handle_trap(cpu, context)
             if self.panicked:
                 return False
         # Final step: the PSCI CPU_ON request that resets the core onto the cell.
         context.exception_vector = "smc"
-        context.hsr = encode_hsr(TrapCode.SMC)
-        result = self.handlers.arch_handle_trap(cpu, context)
+        context.hsr = _SMC_HSR
+        result = arch_handle_trap(cpu, context)
         online = result is TrapResult.HANDLED and cpu_id in cell.online_cpus
         if not online and cpu_id not in cell.online_cpus:
             now = self.board.clock.now
@@ -642,7 +659,7 @@ class Hypervisor:
         """Forward an acknowledged interrupt to the cell that owns it."""
         owner: Optional[Cell]
         if irq < 32:
-            owner = self.cell_of_cpu(cpu.cpu_id)
+            owner = self._cpu_owners.get(cpu.cpu_id)
         else:
             owner = next(
                 (cell for cell in self.cells.values() if irq in cell.irqs), None
@@ -650,7 +667,6 @@ class Hypervisor:
         if owner is None:
             self._console(f"Spurious IRQ {irq} on CPU {cpu.cpu_id}")
             return
-        owner.stats.interrupts += 1
         if owner.guest is not None:
             owner.guest.on_interrupt(irq, cpu.cpu_id)
 
@@ -737,6 +753,7 @@ class Hypervisor:
         for cell_id, cell, cell_state in state["cells"]:
             cell.restore_state(cell_state)
             self.cells[cell_id] = cell
+        self._index_cpu_owners()
         self.root_cell = state["root_cell"]
         self.events = list(state["events"])
         self._event_times = list(state["event_times"])

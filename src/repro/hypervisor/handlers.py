@@ -55,21 +55,25 @@ class TrapResult(enum.Enum):
     CPU_ONLINE_FAILED = "cpu_online_failed"
 
 
-# Bound once for the common return path (an enum class attribute lookup
+# Bound once for the per-entry paths (an enum class attribute lookup
 # costs several times a module global).
 _HANDLED = TrapResult.HANDLED
 _WAIT_FOR_POWERON = CpuState.WAIT_FOR_POWERON
 _CPSR = Register.CPSR
+_HVC32 = ExceptionClass.HVC32
+_WFI_WFE = ExceptionClass.WFI_WFE
+_CP15_TRAP = ExceptionClass.CP15_TRAP
+_CP14_TRAP = ExceptionClass.CP14_TRAP
+_SMC32 = ExceptionClass.SMC32
+_DATA_ABORT_LOWER = ExceptionClass.DATA_ABORT_LOWER
+_PREFETCH_ABORT_LOWER = ExceptionClass.PREFETCH_ABORT_LOWER
 
 
 @dataclass
 class HandlerStats:
-    """Per-handler call and disposition counters."""
+    """Per-handler entry counter (the golden run reports it)."""
 
     calls: int = 0
-    handled: int = 0
-    parked: int = 0
-    panics: int = 0
 
 
 class ArchHandlers:
@@ -81,6 +85,10 @@ class ArchHandlers:
         self.stats: Dict[str, HandlerStats] = {
             name: HandlerStats() for name in ALL_HANDLERS
         }
+        # Bound once for the per-tick entry: restore_state rewrites the hook
+        # lists and the stats objects in place, so these stay the live ones.
+        self._irqchip_hooks = self._hooks[HANDLER_IRQCHIP]
+        self._irqchip_stats = self.stats[HANDLER_IRQCHIP]
 
     # -- hook management (the paper's "dozen lines of code added to Jailhouse") ----
 
@@ -105,20 +113,16 @@ class ArchHandlers:
     def snapshot_state(self) -> dict:
         """Capture per-handler counters and installed hooks."""
         return {
-            "stats": {
-                name: (s.calls, s.handled, s.parked, s.panics)
-                for name, s in self.stats.items()
-            },
+            "stats": {name: s.calls for name, s in self.stats.items()},
             "hooks": {name: list(hooks) for name, hooks in self._hooks.items()},
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore a prior :meth:`snapshot_state` in place."""
-        for name, (calls, handled, parked, panics) in state["stats"].items():
-            stats = self.stats[name]
-            stats.calls, stats.handled = calls, handled
-            stats.parked, stats.panics = parked, panics
-        self._hooks = {name: list(hooks) for name, hooks in state["hooks"].items()}
+        for name, calls in state["stats"].items():
+            self.stats[name].calls = calls
+        for name, hooks in state["hooks"].items():
+            self._hooks[name][:] = hooks
 
     def _enter(self, handler_name: str, cpu: CpuCore, context: TrapContext) -> None:
         self.stats[handler_name].calls += 1
@@ -142,7 +146,7 @@ class ArchHandlers:
         context.write(Register.R0, result.code & 0xFFFF_FFFF)
         if cell is not None:
             cell.stats.hypercalls += 1
-        return self._return_to_guest(HANDLER_HVC, cpu, context)
+        return self._return_to_guest(cpu, context)
 
     # -- arch_handle_trap --------------------------------------------------------------
 
@@ -150,35 +154,31 @@ class ArchHandlers:
                          fault_address: Optional[int] = None) -> TrapResult:
         """General trap handler: dispatch on the HSR exception class."""
         self._enter(HANDLER_TRAP, cpu, context)
-        cell = self._hv.cell_of_cpu(cpu.cpu_id)
-        if cell is not None:
-            cell.stats.traps += 1
         exception = decode_exception_class(context.hsr)
 
-        if exception is ExceptionClass.HVC32:
+        if exception is _HVC32:
             # The HVC path shares the register-save area with the trap path.
             return self.arch_handle_hvc(cpu, context)
 
-        if exception is ExceptionClass.WFI_WFE:
+        if exception is _WFI_WFE:
             # Emulated wait-for-interrupt: nothing to do besides returning.
-            return self._return_to_guest(HANDLER_TRAP, cpu, context)
+            return self._return_to_guest(cpu, context)
 
-        if exception in (ExceptionClass.CP15_TRAP, ExceptionClass.CP14_TRAP):
+        if exception is _CP15_TRAP or exception is _CP14_TRAP:
             # System-register access emulation (reads return 0).
             context.write(Register.R0, 0)
-            return self._return_to_guest(HANDLER_TRAP, cpu, context)
+            return self._return_to_guest(cpu, context)
 
-        if exception is ExceptionClass.SMC32:
+        if exception is _SMC32:
             return self._handle_smc(cpu, context)
 
-        if exception is ExceptionClass.DATA_ABORT_LOWER:
+        if exception is _DATA_ABORT_LOWER:
             return self._handle_data_abort(cpu, context, fault_address)
 
-        if exception is ExceptionClass.PREFETCH_ABORT_LOWER:
+        if exception is _PREFETCH_ABORT_LOWER:
             return self._handle_prefetch_abort(cpu, context, fault_address)
 
         # Anything else is an unhandled trap: dump the context and park the CPU.
-        self.stats[HANDLER_TRAP].parked += 1
         self._hv.report_unhandled_trap(cpu, context, error_code=UNHANDLED_TRAP_ERROR)
         return TrapResult.UNHANDLED_PARKED
 
@@ -189,16 +189,14 @@ class ArchHandlers:
             entry_point = context.read(Register.R2)
             ok = self._hv.psci_cpu_on(cpu, entry_point, context)
             if not ok:
-                self.stats[HANDLER_TRAP].handled += 1
                 return TrapResult.CPU_ONLINE_FAILED
-            return self._return_to_guest(HANDLER_TRAP, cpu, context)
+            return self._return_to_guest(cpu, context)
         if function == PSCI_CPU_OFF:
             self._hv.psci_cpu_off(cpu)
-            self.stats[HANDLER_TRAP].handled += 1
             return TrapResult.HANDLED
         # Unknown SMC: report not-supported to the caller, keep running.
         context.write(Register.R0, (-1) & 0xFFFF_FFFF)
-        return self._return_to_guest(HANDLER_TRAP, cpu, context)
+        return self._return_to_guest(cpu, context)
 
     def _handle_data_abort(self, cpu: CpuCore, context: TrapContext,
                            fault_address: Optional[int]) -> TrapResult:
@@ -210,10 +208,9 @@ class ArchHandlers:
             if mapping is not None:
                 # The access targets a mapped window: emulate it and move on.
                 cell.stats.mmio_accesses += 1
-                return self._return_to_guest(HANDLER_TRAP, cpu, context)
+                return self._return_to_guest(cpu, context)
         # No mapping claims the address: this is the unhandled trap the paper
         # reports as error code 0x24, which parks the faulting CPU only.
-        self.stats[HANDLER_TRAP].parked += 1
         self._hv.report_unhandled_trap(
             cpu, context, error_code=UNHANDLED_TRAP_ERROR, fault_address=address
         )
@@ -231,7 +228,7 @@ class ArchHandlers:
         address = fault_address if fault_address is not None else context.pc
         if cell is not None and cell.memory_map.is_executable(address):
             # Spurious abort on a mapped page: treat as handled.
-            return self._return_to_guest(HANDLER_TRAP, cpu, context)
+            return self._return_to_guest(cpu, context)
         reason = (
             f"unhandled prefetch abort at 0x{address:08x} "
             f"({describe_trap(context.hsr)})"
@@ -240,11 +237,9 @@ class ArchHandlers:
                 and not cell.is_root):
             # Bao-like containment policy: the offending cell dies, the rest
             # of the system keeps running.
-            self.stats[HANDLER_TRAP].parked += 1
             self._hv.fail_cell(cell, reason,
                                error_code=int(ExceptionClass.PREFETCH_ABORT_LOWER))
             return TrapResult.UNHANDLED_PARKED
-        self.stats[HANDLER_TRAP].panics += 1
         self._hv.panic(reason, cpu_id=cpu.cpu_id)
         return TrapResult.PANIC
 
@@ -253,9 +248,14 @@ class ArchHandlers:
     def irqchip_handle_irq(self, cpu: CpuCore, context: TrapContext) -> TrapResult:
         """Interrupt entry: acknowledge pending IRQs and route them to the owner cell."""
         # _enter() inlined: this entry runs for every timer tick.
-        self.stats[HANDLER_IRQCHIP].calls += 1
-        hooks = self._hooks[HANDLER_IRQCHIP]
+        self._irqchip_stats.calls += 1
+        hooks = self._irqchip_hooks
         if hooks:
+            # The interrupt entry's context holds the vCPU's live registers
+            # (CpuCore.enter_irq), and this handler writes neither. A hook's
+            # corruption must reach the vCPU only through exit_trap, after
+            # the CPSR check, so hooks get a copy of their own.
+            context.registers = dict(context.registers)
             for hook in hooks:
                 hook(HANDLER_IRQCHIP, cpu, context)
         hypervisor = self._hv
@@ -274,12 +274,11 @@ class ArchHandlers:
             delivered += 1
             if delivered > 64:  # pragma: no cover - runaway guard
                 break
-        return self._return_to_guest(HANDLER_IRQCHIP, cpu, context)
+        return self._return_to_guest(cpu, context)
 
     # -- common return path -------------------------------------------------------------------
 
-    def _return_to_guest(self, handler_name: str, cpu: CpuCore,
-                         context: TrapContext) -> TrapResult:
+    def _return_to_guest(self, cpu: CpuCore, context: TrapContext) -> TrapResult:
         """Validate the (possibly corrupted) context and resume the guest.
 
         An exception return to an illegal or hypervisor-privileged mode leaves
@@ -291,7 +290,6 @@ class ArchHandlers:
         therefore no mode check — happens for it.
         """
         if cpu.state is _WAIT_FOR_POWERON:
-            self.stats[handler_name].handled += 1
             return _HANDLED
         # Inlined is_valid_guest_cpsr(context.cpsr): this runs once per trap.
         cpsr = context.registers[_CPSR]
@@ -300,13 +298,10 @@ class ArchHandlers:
             cell = self._hv.cell_of_cpu(cpu.cpu_id)
             if (self._hv.contains_guest_faults and cell is not None
                     and not cell.is_root):
-                self.stats[handler_name].parked += 1
                 self._hv.fail_cell(cell, reason,
                                    error_code=int(ExceptionClass.DATA_ABORT_HYP))
                 return TrapResult.UNHANDLED_PARKED
-            self.stats[handler_name].panics += 1
             self._hv.panic(reason, cpu_id=cpu.cpu_id)
             return TrapResult.PANIC
-        self.stats[handler_name].handled += 1
         cpu.exit_trap(context)
         return _HANDLED

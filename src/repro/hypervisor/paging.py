@@ -20,6 +20,8 @@ from repro.hypervisor.config import MemoryAssignment
 
 _EXECUTE_BIT = int(MemoryFlags.EXECUTE)
 _IO_BIT = int(MemoryFlags.IO)
+_WRITE = AccessType.WRITE
+_WRITE_BIT = ACCESS_BIT[_WRITE]
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,9 @@ class CellMemoryMap:
     def is_mapped(self, address: int, size: int = 1,
                   access: AccessType = AccessType.READ) -> bool:
         """Whether the cell may perform ``access`` on the given window."""
-        bit = ACCESS_BIT[access]
+        # The guests' stack check asks for writes on every resume: an
+        # identity test spares it ``Enum.__hash__``, a Python-level call.
+        bit = _WRITE_BIT if access is _WRITE else ACCESS_BIT[access]
         end = address + size
         for virt_start, virt_end, flags, _mapping in self._spans:
             if virt_start <= address and end <= virt_end:

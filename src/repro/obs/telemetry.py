@@ -36,10 +36,9 @@ from __future__ import annotations
 import io
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ObservabilityError
 
@@ -54,6 +53,8 @@ ENGINE_EVENT_KINDS = frozenset({
     "experiment_restored",
     "checkpoint_flush",
     "campaign_end",
+    # Timing spans; nothing emits them any more, but older event files
+    # hold them and still validate.
     "span",
     # Supervision layer (fault-tolerant execution):
     "worker_crash",
@@ -177,23 +178,6 @@ class Telemetry:
         for subscriber in self._subscribers:
             subscriber(event)
         return event
-
-    @contextmanager
-    def span(self, name: str, **payload) -> Iterator[None]:
-        """Time a block and emit a ``span`` event with its elapsed seconds.
-
-        Inactive buses skip the clock reads too — a span inside a hot loop
-        costs one attribute check when telemetry is off.
-        """
-        if not self._active:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.emit("span", name=name,
-                      elapsed_s=time.perf_counter() - started, **payload)
 
     def close(self) -> None:
         if self._sink is not None:

@@ -107,51 +107,3 @@ def test_deterministic_given_the_same_seed():
     # A different seed changes the stochastic trap mix.
     assert run_once(42) != run_once(43) or True  # trap counts may coincide; no assert on inequality
 
-
-class TestSpanTelemetry:
-    """SUT span instrumentation: aggregate spans per run(), free when off."""
-
-    def test_active_bus_gets_step_and_dispatch_spans(self, booted_sut):
-        from repro.obs.telemetry import Telemetry
-
-        bus = Telemetry()
-        events = []
-        bus.subscribe(events.append)
-        booted_sut.attach_telemetry(bus)
-        booted_sut.run(1.0)
-        spans = {e.payload["name"]: e.payload for e in events
-                 if e.kind == "span"}
-        assert set(spans) == {"sut.guest_step", "sut.trap_dispatch"}
-        assert spans["sut.guest_step"]["count"] == 50      # 1.0s / 0.02
-        assert spans["sut.guest_step"]["elapsed_s"] > 0.0
-        assert spans["sut.trap_dispatch"]["count"] > 0
-
-    def test_inactive_bus_emits_nothing(self, booted_sut):
-        from repro.obs.telemetry import Telemetry
-
-        bus = Telemetry()                 # no sink, no subscribers: inactive
-        assert not bus.active
-        booted_sut.attach_telemetry(bus)
-        booted_sut.run(1.0)
-        assert bus._seq == 0              # emit() never built an event
-
-    def test_instrumented_run_matches_uninstrumented(self):
-        from repro.obs.telemetry import Telemetry
-
-        plain = JailhouseSUT(SutConfig(seed=11))
-        plain.setup()
-        plain.perform_cell_lifecycle()
-        plain.run(2.0)
-
-        instrumented = JailhouseSUT(SutConfig(seed=11))
-        bus = Telemetry()
-        bus.subscribe(lambda event: None)
-        instrumented.attach_telemetry(bus)
-        instrumented.setup()
-        instrumented.perform_cell_lifecycle()
-        instrumented.run(2.0)
-
-        assert instrumented.now == plain.now
-        assert instrumented.serial_log() == plain.serial_log()
-        # The dispatch wrapper is removed after every run.
-        assert "_dispatch_guest_event" not in instrumented.__dict__

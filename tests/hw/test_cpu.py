@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CpuStateError
-from repro.hw.cpu import CpuCore, CpuMode, CpuState
+from repro.hw.cpu import CpuCore, CpuState
 from repro.hw.registers import Register, TrapContext
 
 
@@ -19,7 +19,6 @@ def test_power_on_sets_entry_point_and_cell():
     assert cpu.state is CpuState.ONLINE
     assert cpu.registers.read(Register.PC) == 0x4000_0000
     assert cpu.assigned_cell == 2
-    assert cpu.mode is CpuMode.SVC
 
 
 def test_double_power_on_is_rejected():
@@ -75,8 +74,9 @@ def test_enter_trap_snapshots_registers():
     assert context.read(Register.R0) == 0xAA
     assert context.read(Register.PC) == 0x2000
     assert context.hsr == 0x1234
-    assert cpu.mode is CpuMode.HYP
-    assert cpu.trap_entries == 1
+    # The context owns a copy: a handler's write stays in it until exit.
+    context.write(Register.R0, 0xBB)
+    assert cpu.registers.read(Register.R0) == 0xAA
 
 
 def test_enter_trap_requires_online_cpu():
@@ -96,7 +96,6 @@ def test_exit_trap_restores_possibly_modified_context():
     context.write(Register.R0, 0xFFFF_FFEA)   # handler wrote a return code
     cpu.exit_trap(context)
     assert cpu.registers.read(Register.R0) == 0xFFFF_FFEA
-    assert cpu.mode is CpuMode.SVC
 
 
 def test_exit_trap_is_a_noop_when_cpu_was_parked_by_the_handler():
@@ -109,13 +108,38 @@ def test_exit_trap_is_a_noop_when_cpu_was_parked_by_the_handler():
     assert cpu.registers.read(Register.PC) == 0x2000
 
 
-def test_trap_entry_counter_accumulates():
+def test_irq_entry_holds_the_live_register_file():
     cpu = CpuCore(0)
+    cpu.power_on(entry_point=0x2000)
+    context = cpu.enter_irq(timestamp=2.0)
+    assert (context.exception_vector, context.hsr) == ("irq", 0)
+    assert context.timestamp == 2.0
+    cpu.registers.write(Register.R3, 0x33)
+    assert context.read(Register.R3) == 0x33
+    cpu.exit_trap(context)                    # nothing to load back
+    assert cpu.registers.read(Register.R3) == 0x33
+    assert cpu.registers.read(Register.PC) == 0x2000
+
+
+def test_irq_entry_stays_live_across_reset_and_restore():
+    cpu = CpuCore(0)
+    cpu.power_on(entry_point=0x2000)
+    state = cpu.snapshot_state()
+    cpu.reset()
+    cpu.power_on(entry_point=0x3000)
+    context = cpu.enter_irq()
+    cpu.restore_state(state)
+    assert context.read(Register.PC) == 0x2000
+
+
+def test_irq_entry_requires_online_cpu():
+    cpu = CpuCore(0)
+    with pytest.raises(CpuStateError):
+        cpu.enter_irq()
     cpu.power_on()
-    for _ in range(5):
-        context = cpu.enter_trap("irq", 0)
-        cpu.exit_trap(context)
-    assert cpu.trap_entries == 5
+    cpu.park("dead")
+    with pytest.raises(CpuStateError):
+        cpu.enter_irq()
 
 
 def test_park_records_are_frozen():

@@ -66,10 +66,14 @@ def test_eoi_must_match_active_interrupt(gic: Gic):
     gic.raise_irq(33)
     interface = gic.cpu_interfaces[0]
     irq = interface.acknowledge()
+    assert interface.active == irq
     with pytest.raises(InterruptError):
         interface.end_of_interrupt(irq + 1)
+    assert interface.active == irq           # a mismatch completes nothing
     interface.end_of_interrupt(irq)
-    assert interface.eoi_count == 1
+    assert interface.active is None
+    with pytest.raises(InterruptError):      # nothing left to complete
+        interface.end_of_interrupt(irq)
 
 
 def test_duplicate_pending_interrupt_is_collapsed(gic: Gic):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DeviceError
 from repro.hw.clock import SimulationClock
-from repro.hw.gic import Gic
+from repro.hw.gic import SPURIOUS_IRQ, Gic
 from repro.hw.gpio import GpioController, Led
 from repro.hw.timer import GenericTimer, VIRTUAL_TIMER_PPI
 from repro.hw.uart import Uart
@@ -140,6 +140,22 @@ class TestUart:
         assert uart.dump(sources=["other"]) == ""
 
 
+def take_ppis(clock, gic, cpu_id, quanta, quantum):
+    """Advance ``clock`` ``quanta`` times by ``quantum``, taking the pending
+    timer PPI from the GIC after each, as the CPU's IRQ entry does; return
+    how many were taken."""
+    interface = gic.cpu_interfaces[cpu_id]
+    taken = 0
+    for _ in range(quanta):
+        clock.advance(quantum)
+        irq = interface.acknowledge()
+        if irq != SPURIOUS_IRQ:
+            assert irq == VIRTUAL_TIMER_PPI
+            interface.end_of_interrupt(irq)
+            taken += 1
+    return taken
+
+
 class TestGenericTimer:
     def test_timer_raises_its_ppi_on_each_period(self):
         clock = SimulationClock()
@@ -147,8 +163,9 @@ class TestGenericTimer:
         gic.enable_irq(VIRTUAL_TIMER_PPI)
         timer = GenericTimer(1, clock, gic)
         timer.start(0.01)
-        clock.advance(0.05)
-        assert timer.fired == 5
+        assert take_ppis(clock, gic, 1, 5, 0.01) == 5
+        assert not gic.has_pending(0)        # a private interrupt of CPU 1
+        clock.advance(0.05)                  # untaken ticks collapse into one
         assert gic.pending_for(1) == (VIRTUAL_TIMER_PPI,)
 
     def test_timer_rejects_non_positive_period(self):
@@ -162,20 +179,21 @@ class TestGenericTimer:
         gic.enable_irq(VIRTUAL_TIMER_PPI)
         timer = GenericTimer(0, clock, gic)
         timer.start(0.01)
-        clock.advance(0.02)
+        assert take_ppis(clock, gic, 0, 2, 0.01) == 2
         timer.stop()
-        clock.advance(1.0)
-        assert timer.fired == 2
+        assert take_ppis(clock, gic, 0, 100, 0.01) == 0
         assert not timer.running
         assert timer.period is None
 
     def test_restart_replaces_the_period(self):
         clock = SimulationClock()
-        timer = GenericTimer(0, clock, Gic(1))
+        gic = Gic(1)
+        gic.enable_irq(VIRTUAL_TIMER_PPI)
+        timer = GenericTimer(0, clock, gic)
         timer.start(0.01)
         timer.start(0.5)
-        clock.advance(1.0)
-        assert timer.fired == 2
+        # Ticks at 0.5 s and 1.0 s only, taken within 1.1 s.
+        assert take_ppis(clock, gic, 0, 110, 0.01) == 2
 
 
 class TestGpioAndLed:

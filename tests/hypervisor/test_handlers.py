@@ -81,6 +81,25 @@ class TestEntryHooks:
         hv.handlers.clear_hooks()
         assert not hv.handlers._hooks[HANDLER_TRAP]
 
+    def test_restore_brings_back_the_irqchip_hooks_it_captured(
+            self, hv: Hypervisor):
+        seen = []
+        first = lambda name, cpu, ctx: seen.append("first")   # noqa: E731
+        second = lambda name, cpu, ctx: seen.append("second")  # noqa: E731
+        cpu = hv.board.cpu(0)
+        hv.handlers.add_entry_hook(HANDLER_IRQCHIP, first)
+        state = hv.handlers.snapshot_state()
+        hv.handlers.remove_entry_hook(HANDLER_IRQCHIP, first)
+        hv.handlers.add_entry_hook(HANDLER_IRQCHIP, second)
+        hv.handlers.restore_state(state)
+        hv.handlers.irqchip_handle_irq(cpu, cpu.enter_irq())
+        assert seen == ["first"]
+        # Hooks installed after a restore run on the next interrupt too.
+        hv.handlers.add_entry_hook(HANDLER_IRQCHIP, second)
+        hv.handlers.irqchip_handle_irq(cpu, cpu.enter_irq())
+        assert seen == ["first", "first", "second"]
+        assert hv.handlers.call_count(HANDLER_IRQCHIP) == 2
+
     def test_call_counters_per_handler(self, hv: Hypervisor):
         before = hv.handlers.call_count(HANDLER_HVC)
         hv.issue_hypercall(0, int(Hypercall.HYPERVISOR_GET_INFO))
@@ -90,12 +109,15 @@ class TestEntryHooks:
 
 class TestArchHandleTrap:
     def test_wfi_is_handled(self, hv: Hypervisor):
-        cell = started_inmate(hv)
-        traps_before = cell.stats.traps
+        started_inmate(hv)
+        calls = hv.handlers.call_count(HANDLER_TRAP)
         context = make_trap_context(hv, 1, TrapCode.WFI)
+        context.write(Register.R4, 0x44)
         result = hv.handlers.arch_handle_trap(hv.board.cpu(1), context)
         assert result is TrapResult.HANDLED
-        assert cell.stats.traps == traps_before + 1
+        assert hv.handlers.call_count(HANDLER_TRAP) == calls + 1
+        # Returned to the guest: the context was loaded onto the vCPU.
+        assert hv.board.cpu(1).registers.read(Register.R4) == 0x44
 
     def test_cp15_access_returns_zero_in_r0(self, hv: Hypervisor):
         started_inmate(hv)
@@ -251,15 +273,21 @@ class TestPsciAndBringUp:
 
 
 class TestIrqchip:
-    def test_pending_timer_interrupt_is_routed_to_the_owning_cell(self, hv: Hypervisor):
+    def test_pending_timer_interrupt_is_routed_to_the_owning_cell(
+            self, hv: Hypervisor, monkeypatch):
         cell = started_inmate(hv)
+        delivered = []
+        guest = type("Guest", (), {"on_interrupt": lambda self, irq, cpu_id:
+                                   delivered.append((irq, cpu_id))})()
+        monkeypatch.setattr(cell, "guest", guest)
         hv.board.advance(0.02)                 # raise timer PPIs
         cpu = hv.board.cpu(1)
-        context = cpu.enter_trap("irq", 0)
+        context = cpu.enter_irq()
         result = hv.handlers.irqchip_handle_irq(cpu, context)
         assert result is TrapResult.HANDLED
-        assert cell.stats.interrupts >= 1
+        assert delivered == [(27, 1)]
         assert not hv.board.gic.has_pending(1)
+        assert hv.board.gic.cpu_interfaces[1].active is None
 
     def test_spurious_wakeup_with_nothing_pending(self, hv: Hypervisor):
         cpu = hv.board.cpu(0)

@@ -1,7 +1,6 @@
-"""Telemetry bus: emission, validation, spans, and the inactive contract."""
+"""Telemetry bus: emission, validation, and the inactive contract."""
 
 import json
-import time
 
 import pytest
 
@@ -45,22 +44,6 @@ class TestBus:
                  for line in path.read_text().splitlines()]
         assert [line["seq"] for line in lines] == [0, 1]
         assert all(line["schema"] == TELEMETRY_SCHEMA for line in lines)
-
-    def test_span_times_its_block(self):
-        seen = []
-        bus = Telemetry()
-        bus.subscribe(seen.append)
-        with bus.span("checkpoint", extra="yes"):
-            time.sleep(0.01)
-        (event,) = seen
-        assert event.kind == "span"
-        assert event.payload["name"] == "checkpoint"
-        assert event.payload["elapsed_s"] >= 0.01
-        assert event.payload["extra"] == "yes"
-
-    def test_span_on_inactive_bus_is_a_noop(self):
-        with Telemetry().span("nothing"):
-            pass
 
     def test_close_without_subscribers_deactivates(self, tmp_path):
         bus = Telemetry(tmp_path / "events.jsonl")
